@@ -49,11 +49,9 @@ def _merge(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if args.config:
         merged.update(load_config_file(args.config))
-    for key in ("solver", "problem", "n", "reps", "seed", "tol", "m", "eps0", "mu",
-                "alpha", "gamma", "beta", "theta", "sigma", "fd", "out", "format",
-                "trace"):
-        val = getattr(args, key)
-        if val is not None:
+    # every option the parser defines, except those that steer the CLI itself
+    for key, val in vars(args).items():
+        if key not in ("config", "list_problems") and val is not None:
             merged[key] = val
     return merged
 

@@ -96,9 +96,9 @@ def _single_run(spec: ExperimentSpec, oracle: ObjectiveOracle, seed: int,
     start = perturb_start(oracle.x0, n, np.random.default_rng([seed, 1]))
     mode = GradientMode.forward(spec.fd_step) if spec.fd_step else GradientMode.exact()
 
-    if relative_error(oracle.f(start), oracle.f_star) <= tol:
-        report = RunReport(spec.solver, oracle.name, n, seed, 0, 0, 0.0,
-                           relative_error(oracle.f(start), oracle.f_star),
+    e_start = relative_error(oracle.f(start), oracle.f_star)
+    if e_start <= tol:
+        report = RunReport(spec.solver, oracle.name, n, seed, 0, 0, 0.0, e_start,
                            True, "rel_err")
         return report, None
 

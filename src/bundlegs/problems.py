@@ -76,7 +76,9 @@ class ObjectiveOracle:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.eval_grad(np.asarray(x, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(g)):
+        # a finite sum proves every entry finite; only a non-finite sum (a
+        # non-finite entry, or finite entries that overflow) is looked into
+        if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x!r}")
         return g
 
@@ -106,7 +108,7 @@ def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray) -> np.n
         xp = x.copy()
         xp[i] += h
         g[i] = (oracle.f(xp) - f0) / h
-    if not np.all(np.isfinite(g)):
+    if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
         raise EvaluationError(f"{oracle.name}: non-finite forward-difference gradient")
     return g
 

@@ -12,17 +12,36 @@ problem (the latter with all e_j = 0 and unit scale).
 
 The solver is a primal active-set method on the simplex with a projected
 gradient fallback; instances here are tiny and dense, so no sparse or
-large-scale machinery is used.
+large-scale machinery is used.  Each pivot solves the equality-constrained
+subproblem of its working set W through the bordered KKT matrix
+
+    [[H + delta I, -1], [1', 0]] [y; mu] = [-c; 1],   H = G G',
+
+restricted to the rows and columns of W and the border.  The full
+(p+1) x (p+1) matrix and right-hand side are built once per solve, and a
+pivot only gathers its subsystem from them, so the cost of a solve is
+dominated by the dense solves rather than by assembling them.  The
+arithmetic is that of assembling each subsystem afresh, bit for bit: with
+near-duplicate atoms the system is near-singular, and round-off decides how
+the multipliers split among them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 _NEG_ERR_TOL = 1e-12
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # a finite sum proves every element finite; only a non-finite sum (a
+    # non-finite element, or finite elements that overflow) needs the
+    # elementwise test
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
 
 
 @dataclass
@@ -42,7 +61,7 @@ class SimplexQpInstance:
             raise ValueError(
                 f"errors length {errors.shape[0]} does not match atom count {atoms.shape[0]}"
             )
-        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(errors))):
+        if not (_all_finite(atoms) and _all_finite(errors)):
             raise ValueError("non-finite input")
         if float(errors.min(initial=0.0)) < -_NEG_ERR_TOL:
             raise ValueError(f"negative error {errors.min()} below -{_NEG_ERR_TOL}")
@@ -97,26 +116,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def _solve_restricted(H: np.ndarray, c: np.ndarray, mask: np.ndarray, delta: float) -> np.ndarray:
-    # equality-constrained subproblem on the working set:
-    #   (H + delta I) y - mu 1 = -c,  1' y = 1
-    idx = np.flatnonzero(mask)
-    k = idx.size
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = H[np.ix_(idx, idx)]
-    kkt[:k, :k][np.diag_indices(k)] += delta
-    kkt[:k, k] = -1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([-c[idx], [1.0]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    if not np.all(np.isfinite(sol)):
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[:k]
-
-
 def _projected_gradient(H: np.ndarray, c: np.ndarray, lam0: np.ndarray,
                         stop_tol: float, max_iter: int = 20000) -> tuple[np.ndarray, int]:
     # FISTA with simplex projection; polish path when the active set stalls.
@@ -161,30 +160,59 @@ def solve_simplex_qp(
     if max_iter is None:
         max_iter = max(20, 10 * p * p)
 
+    # equality-constrained subproblem on the working set W:
+    #   (H + delta I) y - mu 1 = -c,  1' y = 1
+    # The bordered matrix and right-hand side are built once for all atoms;
+    # each pivot takes the rows and columns of W plus the border (index p),
+    # kept as the last entry of `member`.
+    kkt = np.empty((p + 1, p + 1))
+    kkt[:p, :p] = H
+    kkt.reshape(-1)[:p * (p + 2):p + 2] += delta  # diagonal of the H block
+    kkt[:p, p] = -1.0
+    kkt[p, :p] = 1.0
+    kkt[p, p] = 0.0
+    rhs = np.empty(p + 1)
+    np.negative(c, out=rhs[:p])
+    rhs[p] = 1.0
+    member = np.zeros(p + 1, dtype=bool)
+    member[p] = True
+    active = member[:p]
+
     lam = None
     if warm_start is not None:
-        ws = np.clip(np.asarray(warm_start, dtype=float).ravel(), 0.0, None)
+        ws = np.maximum(np.asarray(warm_start, dtype=float).ravel(), 0.0)
         s = ws.sum()
-        if ws.size == p and np.all(np.isfinite(ws)) and s > 0:
+        if ws.size == p and _all_finite(ws) and s > 0:
             lam = ws / s
     if lam is None:
         j0 = int(np.argmin(0.5 * H.diagonal() + c))
         lam = np.zeros(p)
         lam[j0] = 1.0
-    active = lam > 0.0
+    np.greater(lam, 0.0, out=active)
 
     stop_tol = lambda mu: tol * max(1.0, abs(mu))  # noqa: E731
     iterations = 0
     converged = False
     while iterations < max_iter:
         iterations += 1
-        y = _solve_restricted(H, c, active, delta)
+        rows = np.flatnonzero(member)
+        k = rows.size - 1
+        idx = rows[:k]
+        sub = kkt.take(rows, axis=0).take(rows, axis=1)
+        sub_rhs = rhs.take(rows)
+        try:
+            y = np.linalg.solve(sub, sub_rhs)
+        except np.linalg.LinAlgError:
+            y = np.linalg.lstsq(sub, sub_rhs, rcond=None)[0]
+        if not _all_finite(y):
+            y = np.linalg.lstsq(sub, sub_rhs, rcond=None)[0]
+        y = y[:k]
         if y.min(initial=0.0) >= -1e-12:
             lam = np.zeros(p)
-            lam[active] = np.clip(y, 0.0, None)
+            lam[idx] = np.maximum(y, 0.0)
             grad = H @ lam + c
             mu = float(lam @ grad)
-            j = int(np.argmin(grad))
+            j = int(grad.argmin())
             if mu - float(grad[j]) <= stop_tol(mu):
                 converged = True
                 break
@@ -192,16 +220,15 @@ def solve_simplex_qp(
                 break  # numerical stall; polish below
             active[j] = True
         else:
-            idx = np.flatnonzero(active)
             cur = lam[idx]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(y < 0.0, cur / (cur - y), np.inf)
-            b = int(np.argmin(ratios))
+            ratios = np.full(k, np.inf)
+            np.divide(cur, cur - y, out=ratios, where=y < 0.0)
+            b = int(ratios.argmin())
             step = float(ratios[b])
             cur = cur + step * (y - cur)
             cur[b] = 0.0
             lam[:] = 0.0
-            lam[idx] = np.clip(cur, 0.0, None)
+            lam[idx] = np.maximum(cur, 0.0)
             active[idx[b]] = False
             if not active.any():  # degenerate; restart from best vertex
                 j0 = int(np.argmin(0.5 * H.diagonal() + c))
@@ -219,7 +246,7 @@ def solve_simplex_qp(
         mu = float(lam @ grad)
         converged = mu - float(grad.min()) <= stop_tol(mu)
 
-    lam = np.clip(lam, 0.0, None)
+    lam = np.maximum(lam, 0.0)
     lam /= lam.sum()
     g_tilde = lam @ G
     e_tilde = float(lam @ e)

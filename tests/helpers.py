@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from bundlegs.problems import ObjectiveOracle
+from bundlegs.qp import SimplexQpInstance, SimplexQpSolution
 
 
 @lru_cache(maxsize=None)
@@ -102,3 +104,165 @@ def abs_oracle() -> ObjectiveOracle:
 
 def relative_err(f_val: float, f_star: float) -> float:
     return (f_val - f_star) / (abs(f_star) + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# reference simplex QP kernel
+# ---------------------------------------------------------------------------
+# A verbatim copy of `bundlegs.qp.solve_simplex_qp` and its helpers as they
+# stood when every pivot assembled its bordered KKT matrix afresh.
+# `bundlegs.qp` must reproduce it bit for bit: round-off decides how the
+# multipliers split among near-duplicate atoms, and that split drives the
+# bundle solver's index selection and warm starts.
+
+
+def _ref_project_simplex(v: np.ndarray) -> np.ndarray:
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.clip(v - theta, 0.0, None)
+
+
+def _ref_solve_restricted(H: np.ndarray, c: np.ndarray, mask: np.ndarray, delta: float) -> np.ndarray:
+    # equality-constrained subproblem on the working set:
+    #   (H + delta I) y - mu 1 = -c,  1' y = 1
+    idx = np.flatnonzero(mask)
+    k = idx.size
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = H[np.ix_(idx, idx)]
+    kkt[:k, :k][np.diag_indices(k)] += delta
+    kkt[:k, k] = -1.0
+    kkt[k, :k] = 1.0
+    rhs = np.concatenate([-c[idx], [1.0]])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    if not np.all(np.isfinite(sol)):
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    return sol[:k]
+
+
+def _ref_projected_gradient(H: np.ndarray, c: np.ndarray, lam0: np.ndarray,
+                        stop_tol: float, max_iter: int = 20000) -> tuple[np.ndarray, int]:
+    # FISTA with simplex projection; polish path when the active set stalls.
+    lip = max(float(np.linalg.norm(H, ord="fro")), 1e-12)
+    x = lam0.copy()
+    y = lam0.copy()
+    t = 1.0
+    for it in range(1, max_iter + 1):
+        x_new = _ref_project_simplex(y - (H @ y + c) / lip)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + (t - 1.0) / t_new * (x_new - x)
+        x, t = x_new, t_new
+        if it % 50 == 0:
+            grad = H @ x + c
+            if float(x @ grad) - float(grad.min()) <= stop_tol:
+                return x, it
+    return x, max_iter
+
+
+def reference_solve_simplex_qp(
+    instance: SimplexQpInstance,
+    tol: float = 1e-10,
+    warm_start: np.ndarray | None = None,
+    max_iter: int | None = None,
+    dump_to: str | Path | None = None,
+) -> SimplexQpSolution:
+    """Return the global minimizer over the simplex.
+
+    `tol` bounds the accepted KKT violation (scaled by the multiplier
+    magnitude for badly scaled data).  `warm_start` is any point on the
+    simplex; the result does not depend on it beyond round-off.  `dump_to`
+    writes the instance in the documented text form before solving.
+    """
+    if dump_to is not None:
+        Path(dump_to).write_text(instance.to_text())
+    G = instance.atoms
+    e = instance.errors
+    p = instance.n_atoms
+    c = instance.penalty_scale * e
+    H = G @ G.T
+    delta = 1e-14 * max(1.0, float(H.diagonal().max()))
+    if max_iter is None:
+        max_iter = max(20, 10 * p * p)
+
+    lam = None
+    if warm_start is not None:
+        ws = np.clip(np.asarray(warm_start, dtype=float).ravel(), 0.0, None)
+        s = ws.sum()
+        if ws.size == p and np.all(np.isfinite(ws)) and s > 0:
+            lam = ws / s
+    if lam is None:
+        j0 = int(np.argmin(0.5 * H.diagonal() + c))
+        lam = np.zeros(p)
+        lam[j0] = 1.0
+    active = lam > 0.0
+
+    stop_tol = lambda mu: tol * max(1.0, abs(mu))  # noqa: E731
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        iterations += 1
+        y = _ref_solve_restricted(H, c, active, delta)
+        if y.min(initial=0.0) >= -1e-12:
+            lam = np.zeros(p)
+            lam[active] = np.clip(y, 0.0, None)
+            grad = H @ lam + c
+            mu = float(lam @ grad)
+            j = int(np.argmin(grad))
+            if mu - float(grad[j]) <= stop_tol(mu):
+                converged = True
+                break
+            if active[j]:
+                break  # numerical stall; polish below
+            active[j] = True
+        else:
+            idx = np.flatnonzero(active)
+            cur = lam[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(y < 0.0, cur / (cur - y), np.inf)
+            b = int(np.argmin(ratios))
+            step = float(ratios[b])
+            cur = cur + step * (y - cur)
+            cur[b] = 0.0
+            lam[:] = 0.0
+            lam[idx] = np.clip(cur, 0.0, None)
+            active[idx[b]] = False
+            if not active.any():  # degenerate; restart from best vertex
+                j0 = int(np.argmin(0.5 * H.diagonal() + c))
+                lam[:] = 0.0
+                lam[j0] = 1.0
+                active[j0] = True
+
+    if not converged:
+        grad = H @ lam + c
+        mu = float(lam @ grad)
+        if mu - float(grad.min()) > stop_tol(mu):
+            lam, pg_iters = _ref_projected_gradient(H, c, lam, stop_tol(mu))
+            iterations += pg_iters
+        grad = H @ lam + c
+        mu = float(lam @ grad)
+        converged = mu - float(grad.min()) <= stop_tol(mu)
+
+    lam = np.clip(lam, 0.0, None)
+    lam /= lam.sum()
+    g_tilde = lam @ G
+    e_tilde = float(lam @ e)
+    w = 0.5 * float(g_tilde @ g_tilde) + instance.penalty_scale * e_tilde
+    grad = H @ lam + c
+    mu = float(lam @ grad)
+    residual = max(0.0, mu - float(grad.min()))
+    support = lam > tol
+    if support.any():
+        residual = max(residual, float(np.abs(grad[support] - mu).max()))
+    return SimplexQpSolution(
+        lam=lam,
+        g_tilde=g_tilde,
+        e_tilde=e_tilde,
+        w=w,
+        kkt_residual=residual,
+        iterations=iterations,
+        converged=converged,
+    )

@@ -1,6 +1,7 @@
 """Experiment harness: starts, stopping rules, reports, CLI."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -81,6 +82,23 @@ def test_g_eval_matches_solver_trace():
     assert report.g_eval == result.grad_evals == result.trace[-1].grad_evals_cum
     assert report.iters == result.outer_iters
     assert report.E_final == relative_error(result.f, oracle.f_star)
+
+
+def test_solved_start_evaluates_f_once():
+    from bundlegs.harness import _single_run
+
+    calls = []
+    base = make_problem("ChainedLQ", 8)
+
+    def eval_f(x):
+        calls.append(1)
+        return base.eval_f(x)
+
+    oracle = dataclasses.replace(base, eval_f=eval_f)
+    spec = ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8)
+    report, result = _single_run(spec, oracle, seed=0, tol=1e9)
+    assert result is None and report.stop_reason == "rel_err" and report.converged
+    assert len(calls) == 1
 
 
 def test_run_experiment_gs():
@@ -164,6 +182,20 @@ class TestCli:
         assert cli.main(["--list-problems"]) == 0
         cat = json.loads(capsys.readouterr().out)
         assert len(cat) == 13
+
+    def test_every_flag_reaches_merged_options(self):
+        parser = cli.build_parser()
+        argv, want = [], set()
+        for action in parser._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if flag in (None, "--help", "--config", "--list-problems"):
+                continue
+            value = action.choices[0] if action.choices else "3"
+            argv += [flag, value]
+            want.add(action.dest)
+        merged = cli._merge(parser.parse_args(argv))
+        assert set(merged) == want
+        assert {"solver", "problem", "fd", "trace", "sigma"} <= want
 
     def test_missing_args(self, capsys):
         assert cli.main([]) == 2

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from bundlegs.problems import GradientMode, catalog, gradient, make_problem
+from bundlegs.problems import (
+    EvaluationError,
+    GradientMode,
+    ObjectiveOracle,
+    catalog,
+    gradient,
+    make_problem,
+)
 
 SCALABLE = ["TiltedNorm", "MXHILB", "ChainedLQ", "ChainedCB3I", "ChainedCB3II",
             "MAXQ-gen", "MAXL-gen", "PartlySmooth"]
@@ -188,3 +195,50 @@ def test_gradient_mode_validation():
         GradientMode("forward", h=0.0)
     with pytest.raises(ValueError):
         GradientMode("sideways")
+
+
+FD_STEP = 1e-9
+NON_FINITE = {
+    "nan": [1.0, np.nan, 0.0],
+    "+inf": [np.inf, 1.0, 0.0],
+    "-inf": [0.0, 1.0, -np.inf],
+    "inf/-inf": [np.inf, -np.inf, 1.0],
+}
+
+
+def _oracle_with_gradient(g):
+    """f and its gradient at the origin give `g` in exact and forward mode.
+
+    f(h e_i) is g_i * h for finite g_i; an infinite g_i becomes a finite jump
+    of +-1e300 that overflows when divided by h, and a NaN g_i a NaN value.
+    """
+    g = np.asarray(g, dtype=float)
+    jumps = np.where(np.isinf(g), np.sign(g) * 1e300, g * FD_STEP)
+
+    def eval_f(x):
+        return float(sum(jumps[i] for i in np.flatnonzero(x)))
+
+    return ObjectiveOracle(name="bad", dimension=g.size, f_star=0.0, x0=np.zeros(g.size),
+                           eval_f=eval_f, eval_grad=lambda x: g.copy())
+
+
+# the finite-sum fast path sums inf and -inf before the elementwise test
+# decides, and numpy warns
+@pytest.mark.filterwarnings("ignore:invalid value encountered in reduce:RuntimeWarning")
+@pytest.mark.parametrize("mode", [GradientMode.exact(), GradientMode.forward(FD_STEP)],
+                         ids=["exact", "forward"])
+@pytest.mark.parametrize("bad", list(NON_FINITE.values()), ids=list(NON_FINITE))
+def test_non_finite_gradient_raises(bad, mode):
+    with pytest.raises(EvaluationError, match="non-finite"):
+        gradient(_oracle_with_gradient(bad), mode, np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.parametrize("mode", [GradientMode.exact(), GradientMode.forward(FD_STEP)],
+                         ids=["exact", "forward"])
+def test_finite_gradient_with_overflowing_sum_accepted(mode):
+    # every entry is finite, only their sum overflows
+    want = [1e308, 1e308, 0.0]
+    g = gradient(_oracle_with_gradient(want), mode, np.zeros(3))
+    assert np.all(np.isfinite(g))
+    np.testing.assert_allclose(g, want, rtol=1e-6)

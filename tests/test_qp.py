@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from helpers import grid_min_objective
+from helpers import grid_min_objective, reference_solve_simplex_qp
 
 from bundlegs.qp import SimplexQpInstance, solve_simplex_qp
+
+SOLUTION_FIELDS = ("lam", "g_tilde", "e_tilde", "w", "kkt_residual", "iterations", "converged")
 
 
 def _objective(lam, inst):
@@ -69,17 +71,20 @@ def test_solution_invariants():
         assert sol.kkt_residual <= 1e-9 * max(1.0, abs(sol.w))
 
 
-def test_kkt_certificate():
+def assert_kkt_certificate(inst, sol):
     # every atom's multiplier-gradient is >= the common support value
+    grad = inst.atoms @ sol.g_tilde + inst.penalty_scale * inst.errors
+    mu = float(sol.lam @ grad)
+    assert grad.min() >= mu - 1e-8
+    support = sol.lam > 1e-10
+    assert np.abs(grad[support] - mu).max() <= 1e-8
+
+
+def test_kkt_certificate():
     rng = np.random.default_rng(5)
     for _ in range(50):
         inst = random_instance(rng)
-        sol = solve_simplex_qp(inst, tol=1e-10)
-        grad = inst.atoms @ sol.g_tilde + inst.penalty_scale * inst.errors
-        mu = float(sol.lam @ grad)
-        assert grad.min() >= mu - 1e-8
-        support = sol.lam > 1e-10
-        assert np.abs(grad[support] - mu).max() <= 1e-8
+        assert_kkt_certificate(inst, solve_simplex_qp(inst, tol=1e-10))
 
 
 def test_perturbation_never_improves():
@@ -141,6 +146,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         SimplexQpInstance(np.ones((1, 2)), [np.nan], 1.0)
     with pytest.raises(ValueError):
+        SimplexQpInstance(np.ones((1, 2)), [np.inf], 1.0)
+    with pytest.raises(ValueError):
         SimplexQpInstance(np.ones((1, 2)), [-1e-6], 1.0)
     with pytest.raises(ValueError):
         SimplexQpInstance(np.ones((1, 2)), [0.0], 0.0)
@@ -158,3 +165,169 @@ def test_text_dump_roundtrip(tmp_path):
     np.testing.assert_array_equal(parsed.errors, inst.errors)
     assert parsed.penalty_scale == inst.penalty_scale
     assert abs(solve_simplex_qp(parsed).w - sol.w) < 1e-12
+
+
+# the finite-sum fast path sums inf and -inf (or finite entries past the
+# largest double) before the elementwise test decides, and numpy warns
+@pytest.mark.filterwarnings("ignore:invalid value encountered in reduce:RuntimeWarning")
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [np.inf, -np.inf]],
+                         ids=["nan", "+inf", "-inf", "inf/-inf"])
+def test_non_finite_atom_rejected(bad):
+    atoms = np.ones((3, 2))
+    atoms[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SimplexQpInstance(atoms, np.zeros(3), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_finite_atoms_with_overflowing_sum_accepted():
+    # the sum of these entries overflows, but every entry is finite
+    atoms = np.array([[1e308, 1e308], [-1e308, -1e308]])
+    inst = SimplexQpInstance(atoms, [0.0, 0.0], 1.0)
+    np.testing.assert_array_equal(inst.atoms, atoms)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with the reference kernel in tests/helpers.py
+# ---------------------------------------------------------------------------
+
+
+def assert_same_solution(inst, **kwargs):
+    got = solve_simplex_qp(inst, **kwargs)
+    want = reference_solve_simplex_qp(inst, **kwargs)
+    for name in SOLUTION_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        else:
+            assert type(a) is type(b) and a == b, name
+    return got
+
+
+def _hull(rng, p, n, pieces):
+    # gradients of a max of `pieces` affine functions at sampled points:
+    # exact duplicates of a few vectors, plus a smooth-looking spread
+    base = rng.standard_normal((pieces, n))
+    atoms = base[rng.integers(0, pieces, p)]
+    spread = rng.standard_normal((p, n)) * 1e-3
+    return np.where(rng.uniform(size=(p, 1)) < 0.5, atoms, atoms + spread)
+
+
+def test_matches_reference_on_random_instances():
+    rng = np.random.default_rng(101)
+    for _ in range(200):
+        inst = random_instance(rng, max_atoms=8, max_dim=6)
+        assert_same_solution(inst)
+        assert_same_solution(inst, warm_start=rng.uniform(0.0, 1.0, inst.n_atoms))
+
+
+def test_matches_reference_on_duplicate_atoms():
+    rng = np.random.default_rng(102)
+    for _ in range(100):
+        p, n = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        base = rng.standard_normal((int(rng.integers(1, 4)), n))
+        atoms = base[rng.integers(0, base.shape[0], p)]
+        errors = rng.choice([0.0, 0.5], p)
+        inst = SimplexQpInstance(atoms, errors, float(rng.choice([0.1, 1.0, 10.0])))
+        assert_same_solution(inst)
+        assert_same_solution(inst, warm_start=np.ones(p))
+
+
+def test_matches_reference_on_near_identical_clouds():
+    rng = np.random.default_rng(103)
+    for _ in range(100):
+        p, n = int(rng.integers(2, 12)), int(rng.integers(1, 8))
+        atoms = rng.standard_normal(n) + 1e-9 * rng.standard_normal((p, n))
+        errors = rng.uniform(0.0, 1e-9, p)
+        inst = SimplexQpInstance(atoms, errors, float(rng.choice([0.1, 1.0, 1e4])))
+        assert_same_solution(inst)
+        assert_same_solution(inst, warm_start=rng.uniform(0.0, 1.0, p))
+
+
+def test_matches_reference_on_warm_starts():
+    rng = np.random.default_rng(104)
+    for _ in range(100):
+        inst = random_instance(rng, max_atoms=10, max_dim=6)
+        p = inst.n_atoms
+        sparse = rng.uniform(0.0, 1.0, p) * (rng.uniform(size=p) < 0.5)
+        for warm in (sparse, np.zeros(p), np.ones(p + 1), np.full(p, np.nan), -np.ones(p)):
+            assert_same_solution(inst, warm_start=warm)
+
+
+def test_matches_reference_on_gradient_sampling_hulls():
+    # the GS baseline's shape: 101 sampled gradients in n=50, zero errors
+    rng = np.random.default_rng(105)
+    for pieces in (2, 5, 20, 101):
+        inst = SimplexQpInstance(_hull(rng, 101, 50, pieces), np.zeros(101), 1.0)
+        assert_same_solution(inst, tol=1e-10)
+
+
+def test_matches_reference_on_large_bundles():
+    # the large-scale bundle's shape: 51 atoms in n=500
+    rng = np.random.default_rng(106)
+    for pieces in (3, 51):
+        inst = SimplexQpInstance(_hull(rng, 51, 500, pieces), rng.uniform(0.0, 1e-3, 51), 30.0)
+        assert_same_solution(inst)
+        assert_same_solution(inst, warm_start=rng.uniform(0.0, 1.0, 51))
+
+
+def test_matches_reference_with_one_pivot():
+    rng = np.random.default_rng(107)
+    for _ in range(30):
+        inst = random_instance(rng, max_atoms=6, max_dim=4)
+        assert_same_solution(inst, max_iter=1)
+
+
+# ---------------------------------------------------------------------------
+# fallback paths
+# ---------------------------------------------------------------------------
+
+
+def _three_corners():
+    # the minimum-norm point is interior to the hull, so a cold start needs
+    # more than one pivot to reach it
+    return SimplexQpInstance(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                             [0.0, 0.1, 0.2], 1.0)
+
+
+def test_projected_gradient_polish():
+    inst = _three_corners()
+    assert solve_simplex_qp(inst).iterations > 1
+    sol = assert_same_solution(inst, max_iter=1)
+    # one active-set pivot, then the FISTA polish's own iterations
+    assert sol.iterations > 1
+    assert sol.converged
+    assert_kkt_certificate(inst, sol)
+
+
+def test_singular_bordered_matrix_falls_back_to_lstsq(monkeypatch):
+    # With delta * I on the H block, LAPACK finds no exactly zero pivot for
+    # any finite instance whose Gram matrix does not overflow, so the
+    # singular report it gives for one is simulated here.
+    calls = []
+
+    def singular(a, b):
+        calls.append(a.shape)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    inst = _three_corners()
+    sol = assert_same_solution(inst)
+    assert calls
+    assert sol.converged
+    assert_kkt_certificate(inst, sol)
+
+
+def test_non_finite_restricted_solution_falls_back_to_lstsq(monkeypatch):
+    real_solve = np.linalg.solve
+
+    def blown_up(a, b):
+        y = real_solve(a, b)
+        y[-1] = np.inf
+        return y
+
+    monkeypatch.setattr(np.linalg, "solve", blown_up)
+    inst = _three_corners()
+    sol = assert_same_solution(inst)
+    assert sol.converged
+    assert_kkt_certificate(inst, sol)
