@@ -8,6 +8,15 @@ process either enriches the model one linearization at a time, compressing
 the old constraints into a single aggregated pair via the dual multipliers,
 or gives up and shrinks the sampling radius (a null step).
 
+The model is one array of rows [g_j, e_j]: a gradient and its linearization
+error at x_k.  Row 0 holds the gradient at x_k itself (error 0) and stays
+first.  An enrichment keeps the rows whose multipliers carry the weight
+theta (`select_indices`), stacks the new cut and the prior aggregate below
+them, and solves that stack.  The initial model's aggregate is the QP's own
+lam @ G; an enrichment's is the row-by-row sum of `aggregate`.  Near-duplicate
+rows make round-off decide how lam splits among them, so each aggregate keeps
+its own summation order: either order used for both moves the gradient counts.
+
 The improvement process gives up when the new linearization fails the
 improvement criterion, or when the model has stopped paying for its
 enrichments: the dual value w fell by less than the factor gamma over the
@@ -21,22 +30,23 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .problems import EvaluationError, GradientMode, ObjectiveOracle, gradient
-from .qp import SimplexQpInstance, SimplexQpSolution, solve_simplex_qp
+from .qp import QpFailureError, SimplexQpInstance, SimplexQpSolution, solve_simplex_qp
 from .sampling import sample_ball
+
+# enrichments per outer iteration, in units of m + 1, before `run` stops on
+# "inner_limit": a guard against a hang, far above where `model_stalled`
+# ends a chain
+_INNER_LIMIT_FACTOR = 500
 
 
 class ConvexityError(RuntimeError):
     """A linearization error came out significantly negative."""
-
-
-class QpFailureError(RuntimeError):
-    """A search-direction subproblem did not reach its tolerance."""
 
 
 class StepKind(enum.Enum):
@@ -52,8 +62,7 @@ class SolverConfig:
 
     The defaults are the safe practical values: eps0=1, mu=0.5, alpha=0.5,
     gamma=0.9, beta=1e-6, theta=0.9.  When `m` is None it resolves to 2n for
-    n <= 20 and ceil(n/10) otherwise.  `inner_limit_factor` only guards
-    against a hang; see `run`.
+    n <= 20 and ceil(n/10) otherwise.
     """
 
     eps0: float = 1.0
@@ -69,8 +78,6 @@ class SolverConfig:
     max_outer: int = 1000
     min_radius: float = 1e-12
     differentiability_checks: bool = False
-    inner_limit_factor: int = 500
-    qp_tol: float = 1e-10
     collect_diagnostics: bool = False
 
     def __post_init__(self) -> None:
@@ -104,15 +111,6 @@ class SolverConfig:
 
 
 @dataclass
-class BundleAtom:
-    """One linearization: its source point, gradient there, and error at x_k."""
-
-    source: np.ndarray
-    grad: np.ndarray
-    err: float
-
-
-@dataclass
 class AggregateAtom:
     """The compressed pair (g_tilde, e_tilde) produced by aggregation."""
 
@@ -130,7 +128,6 @@ class StepOutcome:
     value, non-increasing along the inner loop).
     """
 
-    kind: Optional[StepKind]
     direction: np.ndarray
     z: float
     v: float
@@ -186,30 +183,14 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def linearization_error(
-    oracle: ObjectiveOracle,
-    x_k: np.ndarray,
-    f_xk: float,
-    s: np.ndarray,
-    mode: GradientMode | None = None,
-    strict: bool = True,
-) -> float:
-    """Gap at x_k between f and the tangent plane built at s; >= 0 for convex f.
+def linearization_error(f_xk: float, f_s: float, g_s: np.ndarray, x_k: np.ndarray,
+                        s: np.ndarray, strict: bool = True) -> float:
+    """Gap at x_k between f and the tangent plane f_s + <g_s, . - s>; >= 0 for convex f.
 
     Tiny negative values from round-off are clamped to zero.  In strict mode a
     value below the floating-point noise floor raises ConvexityError; with
     inexact gradients (strict=False) any negative value is clamped.
     """
-    mode = mode or GradientMode.exact()
-    x_k = np.asarray(x_k, dtype=float)
-    s = np.asarray(s, dtype=float)
-    f_s = oracle.f(s)
-    g_s = gradient(oracle, mode, s)
-    return _lin_err(f_xk, f_s, g_s, x_k, s, strict=strict)
-
-
-def _lin_err(f_xk: float, f_s: float, g_s: np.ndarray, x_k: np.ndarray,
-             s: np.ndarray, strict: bool) -> float:
     plane = f_s + float(g_s @ (x_k - s))
     e = f_xk - plane
     if e >= 0.0:
@@ -233,44 +214,37 @@ def build_initial_model(
     rng: np.random.Generator,
     f_xk: float | None = None,
     mode: GradientMode | None = None,
-) -> list[BundleAtom]:
-    """Atom 0 at x_k (error 0) plus m sampled atoms; m+1 gradient evaluations."""
+) -> np.ndarray:
+    """Rows [g_j, e_j]: row 0 at x_k (error 0) plus m sampled rows; m+1 gradient evaluations."""
     mode = mode or GradientMode.exact()
     strict = mode.kind == "exact"
     x_k = np.asarray(x_k, dtype=float)
     if f_xk is None:
         f_xk = oracle.f(x_k)
-    atoms = [BundleAtom(x_k.copy(), gradient(oracle, mode, x_k), 0.0)]
-    points = sample_ball(x_k, eps_k, m, rng)
-    for s in points:
+    rows = np.zeros((m + 1, x_k.size + 1))
+    rows[0, :-1] = gradient(oracle, mode, x_k)
+    for row, s in zip(rows[1:], sample_ball(x_k, eps_k, m, rng)):
         for attempt in range(2):
             try:
                 g_s = gradient(oracle, mode, s)
-                e_s = _lin_err(f_xk, oracle.f(s), g_s, x_k, s, strict=strict)
+                e_s = linearization_error(f_xk, oracle.f(s), g_s, x_k, s, strict)
                 break
             except EvaluationError:
                 if attempt == 1:
                     raise
                 s = sample_ball(x_k, eps_k, 1, rng)[0]
-        atoms.append(BundleAtom(np.asarray(s, dtype=float), g_s, e_s))
-    return atoms
+        row[:-1], row[-1] = g_s, e_s
+    return rows
 
 
-def _step_from_pair(g: np.ndarray, e: float, eps_k: float, alpha: float) -> StepOutcome:
+def direction_from_dual(agg: SimplexQpSolution | AggregateAtom, eps_k: float,
+                        alpha: float) -> StepOutcome:
+    """Recover (d, z, v, w) from a pair (g_tilde, e_tilde) via the duality identities."""
+    g, e = agg.g_tilde, agg.e_tilde
     scale = eps_k ** alpha
     gg = float(g @ g)
-    return StepOutcome(
-        kind=None,
-        direction=-scale * g,
-        z=-scale * gg - e,
-        v=0.5 * gg + e,
-        w=0.5 * gg + e / scale,
-    )
-
-
-def direction_from_dual(solution: SimplexQpSolution, eps_k: float, alpha: float) -> StepOutcome:
-    """Recover (d, z, v, w) from the dual solution via the duality identities."""
-    return _step_from_pair(solution.g_tilde, solution.e_tilde, eps_k, alpha)
+    return StepOutcome(direction=-scale * g, z=-scale * gg - e,
+                       v=0.5 * gg + e, w=0.5 * gg + e / scale)
 
 
 def sufficient_decrease(
@@ -320,30 +294,27 @@ def extrapolate(
 def fdp_perturb(
     oracle: ObjectiveOracle,
     x: np.ndarray,
+    f_x: float,
     d: np.ndarray,
     beta: float,
     z: float,
     sigma: float,
     mode: str,
     rng: np.random.Generator,
-    checks_enabled: bool = True,
     max_halvings: int = 64,
 ) -> np.ndarray:
     """Differentiable perturbation of x + d that preserves the step's status.
 
-    mode "FDP1" requires (and preserves) f(x+d) - f(x) <= beta*z on entry;
-    "FDP2" the strict opposite.  x_hat is resampled from B(x, sigma_hat) with
-    sigma_hat halved per trial until x_hat + d is a differentiable point with
-    the mode's inequality intact, so the output stays within sigma of x + d.
-    With checks disabled this returns x + d unchanged.
+    mode "FDP1" requires (and preserves) f(x+d) - f_x <= beta*z on entry;
+    "FDP2" the strict opposite; f_x is f(x).  x_hat is resampled from
+    B(x, sigma_hat) with sigma_hat halved per trial until x_hat + d is a
+    differentiable point with the mode's inequality intact, so the output
+    stays within sigma of x + d.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
-    if not checks_enabled:
-        return x + d
     if mode not in ("FDP1", "FDP2"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
-    f_x = oracle.f(x)
 
     def acceptable(point: np.ndarray) -> bool:
         if not oracle.differentiable_at(point):
@@ -417,25 +388,27 @@ def select_indices(lam: np.ndarray, theta: float, forced: tuple[int, ...] = ()) 
     return sorted(keep)
 
 
-def aggregate(lam: np.ndarray, atoms: list[BundleAtom], prior: AggregateAtom | None = None) -> AggregateAtom:
-    """Convex combination of the atoms (and the prior aggregate, if present).
+def aggregate(lam: np.ndarray, rows: np.ndarray) -> AggregateAtom:
+    """Convex combination sum_j lam_j [g_j, e_j] of the rows, with e_tilde clamped at 0.
 
-    With a prior, `lam` carries one trailing weight for it:
-    g_tilde = sum_j lam_j grad_j + lam[-1] * prior.g_tilde, same for e_tilde.
+    The sum runs row by row in order, the prior aggregate (last row, when
+    present) last; `lam @ rows` rounds differently.
     """
     lam = np.asarray(lam, dtype=float)
-    expected = len(atoms) + (1 if prior is not None else 0)
-    if lam.size != expected:
-        raise ValueError(f"lambda length {lam.size} does not match {expected} columns")
-    g = np.zeros_like(atoms[0].grad) if atoms else np.zeros_like(prior.g_tilde)
-    e = 0.0
-    for w, atom in zip(lam, atoms):
-        g = g + w * atom.grad
-        e += w * atom.err
-    if prior is not None:
-        g = g + lam[-1] * prior.g_tilde
-        e += lam[-1] * prior.e_tilde
-    return AggregateAtom(g_tilde=g, e_tilde=max(e, 0.0))
+    if lam.size != len(rows):
+        raise ValueError(f"lambda length {lam.size} does not match {len(rows)} rows")
+    row = (lam[:, None] * rows).sum(axis=0)
+    return AggregateAtom(g_tilde=row[:-1], e_tilde=max(row[-1], 0.0))
+
+
+def _solve_model(rows: np.ndarray, scale: float, warm: np.ndarray | None,
+                 where: str) -> SimplexQpSolution:
+    """The dual subproblem over the rows [g_j, e_j]; QpFailureError if it stalls."""
+    inst = SimplexQpInstance(np.ascontiguousarray(rows[:, :-1]), rows[:, -1], scale)
+    sol = solve_simplex_qp(inst, warm_start=warm)
+    if not sol.converged:
+        raise QpFailureError(f"{where} stalled (residual {sol.kkt_residual:.3e})")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +434,9 @@ def run(
     null step comes when the new linearization fails `improvement_criterion`
     or when `model_stalled` finds that w fell by less than the factor gamma
     over the last m + 1 enrichments.  A serious step taken from the initial
-    model (inner index 0) is stretched by `extrapolate`.  The cap of
-    config.inner_limit_factor * (m + 1) enrichments per outer iteration is
-    only a guard against a hang (stop reason "inner_limit"): `model_stalled`
-    ends a chain once w stops falling geometrically, in practice far below
-    that cap.
+    model (inner index 0) is stretched by `extrapolate`.  A cap of
+    `_INNER_LIMIT_FACTOR` * (m + 1) enrichments per outer iteration only
+    guards against a hang (stop reason "inner_limit").
     """
     mode = grad_mode or GradientMode.exact()
     strict = mode.kind == "exact"
@@ -479,7 +450,7 @@ def run(
     eps = float(config.eps0)
     g_evals = 0
     trace: list[IterationTrace] = []
-    inner_cap = config.inner_limit_factor * (m + 1)
+    inner_cap = _INNER_LIMIT_FACTOR * (m + 1)
     stop_reason: str | None = None
 
     def emit(k, i, f_val, step, kind, diag=None) -> bool:
@@ -511,26 +482,17 @@ def run(
             break
         outer += 1
 
-        pool = {j: atom for j, atom in enumerate(
-            build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode))}
+        # rows [g_j, e_j] of the model and their multipliers; row 0 is x_k's
+        rows = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode)
         g_evals += m + 1
-        grad_xk = pool[0].grad
+        grad_xk = rows[0, :-1]
         scale = eps ** (-config.alpha)
-
-        inst = SimplexQpInstance(
-            np.array([pool[j].grad for j in range(m + 1)]),
-            np.array([pool[j].err for j in range(m + 1)]),
-            scale,
-        )
-        sol = solve_simplex_qp(inst, tol=config.qp_tol)
-        if not sol.converged:
-            raise QpFailureError(
-                f"initial subproblem at k={k} stalled (residual {sol.kkt_residual:.3e})")
-        agg = AggregateAtom(sol.g_tilde.copy(), max(float(sol.e_tilde), 0.0))
+        sol = _solve_model(rows, scale, None, f"initial subproblem at k={k}")
+        lam = sol.lam
+        # the initial aggregate is the QP's own lam @ G: the row-by-row sum of
+        # `aggregate` rounds differently and moves the gradient counts
+        agg = AggregateAtom(sol.g_tilde, max(sol.e_tilde, 0.0))
         step = direction_from_dual(sol, eps, config.alpha)
-        J = select_indices(sol.lam, config.theta, forced=(0,))
-        lam_by_label = {j: float(sol.lam[j]) for j in range(m + 1)}
-        next_label = m + 1
         w_history = [step.w]
 
         i = 0
@@ -543,7 +505,6 @@ def run(
                 stop_reason = "inner_limit"
                 break
             if step.v <= config.eps_tol:
-                step.kind = StepKind.CONVERGED
                 emit(k, i, f_x, step, StepKind.CONVERGED,
                      make_diag(step, agg, f_x, grad_xk))
                 stop_reason = "converged"
@@ -551,9 +512,9 @@ def run(
 
             trial = x + step.direction
             f_trial = oracle.f(trial)
-            if f_trial - f_x <= config.beta * step.z:
+            if sufficient_decrease(oracle, x, f_x, step.direction, step.z, config.beta,
+                                   f_trial=f_trial):
                 # serious step: radius unchanged
-                step.kind = StepKind.SERIOUS_STEP
                 t = 1.0
                 if i == 0:
                     # the initial model's step length was never tested
@@ -563,9 +524,8 @@ def run(
                     if t > 1.0:
                         trial = x + t * step.direction
                 if checks:
-                    x_next = fdp_perturb(oracle, x, t * step.direction, config.beta,
-                                         t * step.z, config.sigma, "FDP1", rng,
-                                         checks_enabled=True)
+                    x_next = fdp_perturb(oracle, x, f_x, t * step.direction, config.beta,
+                                         t * step.z, config.sigma, "FDP1", rng)
                     f_next = f_trial if np.array_equal(x_next, trial) else oracle.f(x_next)
                 else:
                     x_next, f_next = trial, f_trial
@@ -578,22 +538,20 @@ def run(
 
             # improvement process: new auxiliary point and linearization
             if checks:
-                s_new = fdp_perturb(oracle, x, step.direction, config.beta,
-                                    step.z, config.sigma, "FDP2", rng,
-                                    checks_enabled=True)
+                s_new = fdp_perturb(oracle, x, f_x, step.direction, config.beta,
+                                    step.z, config.sigma, "FDP2", rng)
                 f_s = f_trial if np.array_equal(s_new, trial) else oracle.f(s_new)
             else:
                 s_new, f_s = trial, f_trial
             g_new = gradient(oracle, mode, s_new)
             g_evals += 1
-            e_new = _lin_err(f_x, f_s, g_new, x, s_new, strict=strict)
+            e_new = linearization_error(f_x, f_s, g_new, x, s_new, strict)
             f_gap = abs(f_trial - f_x)
 
             if (model_stalled(w_history, m + 1, config.gamma)
                     or not improvement_criterion(e_new, agg, f_gap, config.gamma)):
                 # null step: the model stopped improving or the new cut is
                 # useless; shrink the sampling region, keep the iterate
-                step.kind = StepKind.NULL_STEP
                 hit = emit(k, i, f_x, step, StepKind.NULL_STEP,
                            make_diag(step, agg, f_x, grad_xk))
                 eps = config.mu * eps
@@ -601,35 +559,26 @@ def run(
                     stop_reason = "callback"
                 break
 
-            pool[next_label] = BundleAtom(np.asarray(s_new, dtype=float), g_new, e_new)
-            labels = sorted(set(J) | {next_label})
-            d_prev, z_prev = step.direction, step.z
-            warm = np.array([lam_by_label.get(l, 0.0) for l in labels] + [0.0])
+            # kept rows (row 0 first), the new cut, the prior aggregate; the
+            # warm start puts the weight the kept rows do not carry on the last
+            keep = select_indices(lam, config.theta, forced=(0,))
+            model = np.vstack([rows[keep], np.append(g_new, e_new),
+                               np.append(agg.g_tilde, agg.e_tilde)])
+            warm = np.append(lam[keep], [0.0, 0.0])
             warm[-1] = max(0.0, 1.0 - warm.sum())
-            inst = SimplexQpInstance(
-                np.vstack([np.array([pool[l].grad for l in labels]), agg.g_tilde]),
-                np.array([pool[l].err for l in labels] + [agg.e_tilde]),
-                scale,
-            )
-            sol = solve_simplex_qp(inst, tol=config.qp_tol, warm_start=warm)
-            if not sol.converged:
-                raise QpFailureError(
-                    f"subproblem at k={k}, i={i} stalled (residual {sol.kkt_residual:.3e})")
-            agg = aggregate(sol.lam, [pool[l] for l in labels], prior=agg)
-            step = _step_from_pair(agg.g_tilde, agg.e_tilde, eps, config.alpha)
-            step.kind = StepKind.INNER_ENRICH
+            d_prev, z_prev = step.direction, step.z
+            sol = _solve_model(model, scale, warm, f"subproblem at k={k}, i={i}")
+            # an enrichment's aggregate is the row-by-row sum: the QP's own
+            # lam @ G rounds differently and moves the gradient counts
+            agg = aggregate(sol.lam, model)
+            step = direction_from_dual(agg, eps, config.alpha)
             w_history.append(step.w)
-            atom_lams = sol.lam[:-1]
-            J = [labels[p] for p in select_indices(atom_lams, config.theta)]
-            J = sorted(set(J) | {0})
-            lam_by_label = {l: float(v) for l, v in zip(labels, atom_lams)}
+            rows, lam = model[:-1], sol.lam[:-1]
 
             diag = None
             if config.collect_diagnostics:
-                model_z = max(
-                    max(float(pool[l].grad @ step.direction) - pool[l].err for l in labels),
-                    float(inst.atoms[-1] @ step.direction) - float(inst.errors[-1]),
-                )
+                # per row: a matmul rounds this diagnostic differently
+                model_z = max(float(r[:-1] @ step.direction) - r[-1] for r in model)
                 diag = make_diag(step, agg, f_x, grad_xk,
                                  new_atom_grad=g_new.copy(), new_atom_err=e_new,
                                  d_prev=d_prev.copy(), z_prev=z_prev,
@@ -638,7 +587,6 @@ def run(
             if hit:
                 stop_reason = "callback"
                 break
-            next_label += 1
             i += 1
 
         k += 1

@@ -99,9 +99,7 @@ def gs_run(
             grads.append(gradient(oracle, mode, s))
         g_evals += sample_size + 1
 
-        sol = solve_simplex_qp(
-            SimplexQpInstance(np.array(grads), np.zeros(len(grads)), 1.0), tol=1e-10
-        )
+        sol = solve_simplex_qp(SimplexQpInstance(np.array(grads), np.zeros(len(grads)), 1.0))
         gnorm = float(np.linalg.norm(sol.g_tilde))
 
         if gnorm <= config.stationarity_tol:

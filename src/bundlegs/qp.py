@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 _NEG_ERR_TOL = 1e-12
+
+
+class QpFailureError(RuntimeError):
+    """A subproblem failed: its Gram matrix overflows, or it stalled short of its tolerance."""
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -140,23 +143,25 @@ def solve_simplex_qp(
     tol: float = 1e-10,
     warm_start: np.ndarray | None = None,
     max_iter: int | None = None,
-    dump_to: str | Path | None = None,
 ) -> SimplexQpSolution:
     """Return the global minimizer over the simplex.
 
     `tol` bounds the accepted KKT violation (scaled by the multiplier
     magnitude for badly scaled data).  `warm_start` is any point on the
-    simplex; the result does not depend on it beyond round-off.  `dump_to`
-    writes the instance in the documented text form before solving.
+    simplex; the result does not depend on it beyond round-off.  Raises
+    QpFailureError when G G' overflows (atoms of norm past about 1.3e154).
     """
-    if dump_to is not None:
-        Path(dump_to).write_text(instance.to_text())
     G = instance.atoms
     e = instance.errors
     p = instance.n_atoms
     c = instance.penalty_scale * e
     H = G @ G.T
-    delta = 1e-14 * max(1.0, float(H.diagonal().max()))
+    # the largest diagonal entry bounds every entry of H, so a finite one
+    # proves H finite; LAPACK must not see an overflowed H
+    h_max = float(H.diagonal().max())
+    if not math.isfinite(h_max):
+        raise QpFailureError(f"Gram matrix overflows (largest squared atom norm {h_max})")
+    delta = 1e-14 * max(1.0, h_max)
     if max_iter is None:
         max_iter = max(20, 10 * p * p)
 

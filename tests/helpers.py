@@ -102,6 +102,18 @@ def abs_oracle() -> ObjectiveOracle:
     )
 
 
+def huge_gradient_oracle() -> ObjectiveOracle:
+    """f(x) = 1e155 * ||x||_1: finite gradients whose Gram matrix overflows."""
+    return ObjectiveOracle(
+        name="huge",
+        dimension=2,
+        f_star=0.0,
+        x0=np.ones(2),
+        eval_f=lambda x: 1e155 * float(np.abs(x).sum()),
+        eval_grad=lambda x: 1e155 * np.sign(x),
+    )
+
+
 def relative_err(f_val: float, f_star: float) -> float:
     return (f_val - f_star) / (abs(f_star) + 1.0)
 

@@ -6,7 +6,6 @@ from helpers import abs_oracle, quadratic_oracle
 
 from bundlegs.bgs import (
     AggregateAtom,
-    BundleAtom,
     ConvexityError,
     SolverConfig,
     aggregate,
@@ -33,17 +32,19 @@ def _solution(g, e):
 class TestLinearizationError:
     def test_abs_same_side(self):
         o = abs_oracle()
-        assert linearization_error(o, np.array([1.0]), 1.0, np.array([2.0])) == 0.0
+        s = np.array([2.0])
+        assert linearization_error(1.0, o.f(s), o.grad(s), np.array([1.0]), s) == 0.0
 
     def test_abs_opposite_side(self):
         o = abs_oracle()
-        e = linearization_error(o, np.array([1.0]), 1.0, np.array([-1.0]))
+        s = np.array([-1.0])
+        e = linearization_error(1.0, o.f(s), o.grad(s), np.array([1.0]), s)
         assert abs(e - 2.0) < 1e-14
 
     def test_source_point_is_zero(self):
         o = quadratic_oracle(3)
         x = np.array([0.3, -0.2, 1.0])
-        assert linearization_error(o, x, o.f(x), x) == 0.0
+        assert linearization_error(o.f(x), o.f(x), o.grad(x), x, x) == 0.0
 
     def test_strict_mode_flags_nonconvex(self):
         # a broken "concave" oracle yields clearly negative errors
@@ -51,39 +52,50 @@ class TestLinearizationError:
 
         bad = ObjectiveOracle("bad", 1, 0.0, np.zeros(1),
                               lambda x: -float(x @ x), lambda x: -2.0 * x)
+        s = np.array([1.0])
         with pytest.raises(ConvexityError):
-            linearization_error(bad, np.array([0.0]), 0.0, np.array([1.0]))
+            linearization_error(0.0, bad.f(s), bad.grad(s), np.array([0.0]), s)
 
     def test_non_strict_clamps(self):
         from bundlegs.problems import ObjectiveOracle
 
         bad = ObjectiveOracle("bad", 1, 0.0, np.zeros(1),
                               lambda x: -float(x @ x), lambda x: -2.0 * x)
-        e = linearization_error(bad, np.array([0.0]), 0.0, np.array([1.0]), strict=False)
+        s = np.array([1.0])
+        e = linearization_error(0.0, bad.f(s), bad.grad(s), np.array([0.0]), s, strict=False)
         assert e == 0.0
 
 
 class TestBuildInitialModel:
     def test_single_atom(self):
         o = quadratic_oracle(2)
-        atoms = build_initial_model(o, np.array([1.0, 1.0]), 0.5, 0, np.random.default_rng(0))
-        assert len(atoms) == 1
-        assert atoms[0].err == 0.0
-        np.testing.assert_array_equal(atoms[0].source, [1.0, 1.0])
+        x = np.array([1.0, 1.0])
+        rows = build_initial_model(o, x, 0.5, 0, np.random.default_rng(0))
+        assert len(rows) == 1
+        assert rows[0, -1] == 0.0
+        np.testing.assert_array_equal(rows[0, :-1], o.grad(x))
+
+    def test_row_zero_is_the_gradient_at_x_k(self):
+        o = make_problem("MAXQ-gen", 3)
+        x = np.array([0.5, -1.0, 2.0])
+        rows = build_initial_model(o, x, 0.5, 4, np.random.default_rng(3))
+        assert rows.shape == (5, 4)
+        np.testing.assert_array_equal(rows[0, :-1], o.grad(x))
+        assert rows[0, -1] == 0.0
 
     def test_errors_bounded_by_curvature(self):
         # for f = ||x||^2 the error equals ||x - s||^2 <= eps^2
         o = quadratic_oracle(4)
         eps = 0.3
-        atoms = build_initial_model(o, np.ones(4), eps, 12, np.random.default_rng(1))
-        assert len(atoms) == 13
-        for a in atoms[1:]:
-            assert -1e-14 <= a.err <= eps ** 2 * (1 + 1e-9)
+        rows = build_initial_model(o, np.ones(4), eps, 12, np.random.default_rng(1))
+        assert len(rows) == 13
+        for err in rows[1:, -1]:
+            assert -1e-14 <= err <= eps ** 2 * (1 + 1e-9)
 
     def test_maxq_errors_nonnegative(self):
         o = make_problem("MAXQ-gen", 2)
-        atoms = build_initial_model(o, np.array([1.0, 1.0]), 0.5, 4, np.random.default_rng(2))
-        assert all(a.err >= 0.0 for a in atoms)
+        rows = build_initial_model(o, np.array([1.0, 1.0]), 0.5, 4, np.random.default_rng(2))
+        assert all(err >= 0.0 for err in rows[:, -1])
 
 
 class TestDirectionFromDual:
@@ -103,6 +115,14 @@ class TestDirectionFromDual:
         np.testing.assert_allclose(out.direction, [-0.5, 0.0])
         assert abs(out.z + 1.0) < 1e-14
         assert out.v == 2.0 and out.w == 2.0
+
+    def test_aggregate_pair(self):
+        # an AggregateAtom gives the same step as a QP solution with its pair
+        agg = AggregateAtom(np.array([3.0, -4.0]), 0.5)
+        a = direction_from_dual(agg, 0.25, 0.5)
+        b = direction_from_dual(_solution([3.0, -4.0], 0.5), 0.25, 0.5)
+        np.testing.assert_array_equal(a.direction, b.direction)
+        assert (a.z, a.v, a.w) == (b.z, b.v, b.w)
 
     def test_identities_hold(self):
         rng = np.random.default_rng(4)
@@ -133,18 +153,11 @@ class TestSufficientDecrease:
 
 
 class TestFdpPerturb:
-    def test_checks_disabled_returns_trial(self):
-        o = abs_oracle()
-        rng = np.random.default_rng(0)
-        out = fdp_perturb(o, np.array([1.0]), np.array([-1.0]), 0.5, -1.0, 0.1,
-                          "FDP1", rng, checks_enabled=False)
-        np.testing.assert_array_equal(out, [0.0])
-
     def test_already_acceptable_is_unchanged(self):
         o = quadratic_oracle(2)
         rng = np.random.default_rng(0)
         x, d = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        out = fdp_perturb(o, x, d, 0.5, -1.0, 0.1, "FDP1", rng, checks_enabled=True)
+        out = fdp_perturb(o, x, o.f(x), d, 0.5, -1.0, 0.1, "FDP1", rng)
         np.testing.assert_array_equal(out, x + d)
 
     def test_kink_gets_perturbed_within_sigma(self):
@@ -154,7 +167,7 @@ class TestFdpPerturb:
         rng = np.random.default_rng(5)
         sigma = 0.05
         x, d = np.array([1.0]), np.array([-1.0])
-        out = fdp_perturb(o, x, d, 0.5, -1.0, sigma, "FDP1", rng, checks_enabled=True)
+        out = fdp_perturb(o, x, o.f(x), d, 0.5, -1.0, sigma, "FDP1", rng)
         assert out[0] != 0.0
         assert abs(out[0] - 0.0) < sigma
         assert o.f(out) - o.f(x) <= 0.5 * -1.0
@@ -165,7 +178,7 @@ class TestFdpPerturb:
         o = abs_oracle()
         rng = np.random.default_rng(6)
         x, d = np.array([0.5]), np.array([-0.5])
-        out = fdp_perturb(o, x, d, 0.9, -1.0, 0.05, "FDP2", rng, checks_enabled=True)
+        out = fdp_perturb(o, x, o.f(x), d, 0.9, -1.0, 0.05, "FDP2", rng)
         assert out[0] != 0.0
         assert abs(out[0]) < 0.05
         assert o.f(out) - o.f(x) > 0.9 * -1.0
@@ -173,8 +186,8 @@ class TestFdpPerturb:
     def test_tiny_sigma_contract(self):
         o = abs_oracle()
         rng = np.random.default_rng(7)
-        out = fdp_perturb(o, np.array([1.0]), np.array([-1.0]), 0.5, -1.0, 1e-8,
-                          "FDP1", rng, checks_enabled=True)
+        out = fdp_perturb(o, np.array([1.0]), 1.0, np.array([-1.0]), 0.5, -1.0, 1e-8,
+                          "FDP1", rng)
         assert abs(out[0] - 0.0) <= 1e-8
 
 
@@ -282,31 +295,46 @@ class TestSelectIndices:
 
 
 class TestAggregate:
+    # rows are [g_j, e_j]; a prior aggregate is the last row
+
     def test_single_atom_identity(self):
-        atom = BundleAtom(np.zeros(2), np.array([1.0, 2.0]), 0.25)
-        agg = aggregate(np.array([1.0]), [atom])
-        np.testing.assert_array_equal(agg.g_tilde, atom.grad)
+        row = np.array([1.0, 2.0, 0.25])
+        agg = aggregate(np.array([1.0]), row[None, :])
+        np.testing.assert_array_equal(agg.g_tilde, row[:-1])
         assert agg.e_tilde == 0.25
 
     def test_prior_passthrough(self):
         prior = AggregateAtom(np.array([3.0, -1.0]), 0.7)
-        atom = BundleAtom(np.zeros(2), np.array([1.0, 2.0]), 0.25)
-        agg = aggregate(np.array([0.0, 1.0]), [atom], prior)
+        rows = np.array([[1.0, 2.0, 0.25], [3.0, -1.0, 0.7]])
+        agg = aggregate(np.array([0.0, 1.0]), rows)
         np.testing.assert_array_equal(agg.g_tilde, prior.g_tilde)
         assert agg.e_tilde == prior.e_tilde
 
     def test_even_mix(self):
-        atoms = [
-            BundleAtom(np.zeros(1), np.array([1.0]), 0.0),
-            BundleAtom(np.zeros(1), np.array([-1.0]), 2.0),
-        ]
-        agg = aggregate(np.array([0.5, 0.5]), atoms)
+        rows = np.array([[1.0, 0.0], [-1.0, 2.0]])
+        agg = aggregate(np.array([0.5, 0.5]), rows)
         np.testing.assert_array_equal(agg.g_tilde, [0.0])
         assert agg.e_tilde == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            aggregate(np.array([0.5, 0.5]), [], AggregateAtom(np.zeros(1), 0.0))
+            aggregate(np.array([0.5, 0.5]), np.zeros((1, 2)))
+
+    def test_sums_row_by_row(self):
+        # `run` relies on this order bit for bit: with near-duplicate rows,
+        # lam @ rows rounds differently in almost every draw
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            p, n = int(rng.integers(2, 52)), int(rng.integers(1, 501))
+            rows = rng.standard_normal(n + 1) + 1e-9 * rng.standard_normal((p, n + 1))
+            lam = rng.uniform(size=p)
+            lam /= lam.sum()
+            want = np.zeros(n + 1)
+            for lam_j, row_j in zip(lam, rows):
+                want = want + lam_j * row_j
+            agg = aggregate(lam, rows)
+            assert agg.g_tilde.tobytes() == want[:-1].tobytes()
+            assert np.float64(agg.e_tilde).tobytes() == np.float64(max(want[-1], 0.0)).tobytes()
 
 
 def test_config_validation():

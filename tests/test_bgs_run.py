@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from helpers import quadratic_oracle
+from helpers import huge_gradient_oracle, quadratic_oracle
 
-from bundlegs.bgs import SolverConfig, StepKind, run
+from bundlegs.bgs import QpFailureError, SolverConfig, StepKind, run
 from bundlegs.harness import perturb_start
 from bundlegs.problems import make_problem
 
@@ -184,6 +184,13 @@ def test_rosen_inner_loop_does_not_stall():
     oracle = make_problem("Rosen")
     res = run(oracle, SolverConfig(seed=0, m=8, max_outer=300))
     assert res.stop_reason != "inner_limit"
+
+
+# G G' overflows; the QP raises before LAPACK sees it
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_overflowing_gram_raises_qp_failure():
+    with pytest.raises(QpFailureError, match="Gram matrix overflows"):
+        run(huge_gradient_oracle(), SolverConfig(seed=0, m=3))
 
 
 def test_bad_x0_rejected():

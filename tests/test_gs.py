@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from helpers import quadratic_oracle
+from helpers import huge_gradient_oracle, quadratic_oracle
 
 from bundlegs.gs import GsConfig, gs_run
 from bundlegs.problems import make_problem
-from bundlegs.qp import SimplexQpInstance, solve_simplex_qp
+from bundlegs.qp import QpFailureError, SimplexQpInstance, solve_simplex_qp
 
 
 def test_smoke_quadratic():
@@ -73,3 +73,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GsConfig(armijo_beta=1.0)
     assert GsConfig().resolve_sample_size(50) == 100
+
+
+# G G' overflows; the QP raises before LAPACK sees it
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_overflowing_gram_raises_qp_failure():
+    with pytest.raises(QpFailureError, match="Gram matrix overflows"):
+        gs_run(huge_gradient_oracle(), GsConfig(seed=0))

@@ -117,7 +117,8 @@ def test_emit_report_csv_shape(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[0] == ",".join(REPORT_FIELDS)
-    row = next(csv.DictReader(path.open()))
+    with path.open() as fh:
+        row = next(csv.DictReader(fh))
     assert row["solver"] == "bgs" and row["problem"] == "QL"
     assert float(row["E_final"]) == 1e-4 and row["converged"] == "True"
 
@@ -146,7 +147,8 @@ def test_trace_export(tmp_path):
                           stop_rel_err=1e-6, seed_base=0,
                           solver_options={"m": 40}, trace_path=str(trace_path))
     run_experiment(spec)
-    rows = list(csv.DictReader(trace_path.open()))
+    with trace_path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows
     assert set(rows[0]) == {"k", "i", "err", "eps", "kind"}
     kinds = {r["kind"] for r in rows}
@@ -216,7 +218,8 @@ class TestCli:
         cfg.write_text("solver=bgs\nproblem=ChainedLQ\nn=8\nreps=1\nm=4\ntol=1e-3\n")
         code = cli.main(["--config", str(cfg), "--out", str(out), "--seed", "2"])
         assert code == 0
-        row = next(csv.DictReader(out.open()))
+        with out.open() as fh:
+            row = next(csv.DictReader(fh))
         assert row["seed"] == "2"
 
     def test_gs_solver(self, tmp_path):
@@ -224,5 +227,6 @@ class TestCli:
         code = cli.main(["--solver", "gs", "--problem", "ChainedLQ", "--n", "8",
                          "--reps", "1", "--tol", "1e-3", "--out", str(out)])
         assert code == 0
-        row = next(csv.DictReader(out.open()))
+        with out.open() as fh:
+            row = next(csv.DictReader(fh))
         assert row["solver"] == "gs"

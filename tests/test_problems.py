@@ -78,7 +78,7 @@ def test_linearization_errors_nonnegative(oracle):
     for _ in range(40):
         x = rng.standard_normal(oracle.dimension)
         s = x + 0.5 * rng.standard_normal(oracle.dimension)
-        e = linearization_error(oracle, x, oracle.f(x), s)
+        e = linearization_error(oracle.f(x), oracle.f(s), oracle.grad(s), x, s)
         assert e >= -1e-10
 
 
