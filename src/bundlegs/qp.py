@@ -10,20 +10,29 @@ The search-direction subproblems of the bundle solver and the minimum-norm
 hull point of the gradient-sampling baseline are both instances of this
 problem (the latter with all e_j = 0 and unit scale).
 
-The solver is a primal active-set method on the simplex with a projected
-gradient fallback; instances here are tiny and dense, so no sparse or
-large-scale machinery is used.  Each pivot solves the equality-constrained
-subproblem of its working set W through the bordered KKT matrix
+Two kernels solve it; instances here are tiny and dense, so no sparse or
+large-scale machinery is used.  Both are primal active-set methods on the
+simplex, and each pivot solves the equality-constrained subproblem of its
+working set W through the bordered KKT matrix
 
     [[H + delta I, -1], [1', 0]] [y; mu] = [-c; 1],   H = G G',
 
 restricted to the rows and columns of W and the border.  The full
-(p+1) x (p+1) matrix and right-hand side are built once per solve, and a
-pivot only gathers its subsystem from them, so the cost of a solve is
-dominated by the dense solves rather than by assembling them.  The
-arithmetic is that of assembling each subsystem afresh, bit for bit: with
-near-duplicate atoms the system is near-singular, and round-off decides how
-the multipliers split among them.
+(p+1) x (p+1) matrix and right-hand side are built once per solve by
+`_bordered_kkt`, and a pivot only gathers its subsystem from them.
+
+* `solve_simplex_qp` takes any instance, changes W by one atom per pivot
+  and falls back to projected gradient.  Its arithmetic is that of
+  assembling each subsystem afresh, bit for bit: with near-duplicate atoms
+  the system is near-singular, and round-off decides how the multipliers
+  split among them.  The bundle solver needs exactly that split, because
+  its multipliers pick the atoms it keeps and warm-start the next solve, and
+  its gradient counts move with the last bit of them.
+* `min_norm_point` takes only the zero-error, unit-scale hull and prices in
+  blocks: every violating atom enters at once.  It needs about half the
+  pivots on the baseline's hulls of 2n+1 gradients, and it rounds
+  differently.  Only the hull point is unique, and it is all the
+  gradient-sampling baseline uses.
 """
 
 from __future__ import annotations
@@ -138,6 +147,64 @@ def _projected_gradient(H: np.ndarray, c: np.ndarray, lam0: np.ndarray,
     return x, max_iter
 
 
+def _bordered_kkt(G: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H = G G', and the bordered matrix and right-hand side of every pivot.
+
+    The equality-constrained subproblem on a working set W is
+
+        (H + delta I) y - mu 1 = -c,  1' y = 1,
+
+    so the full (p+1) x (p+1) system is [[H + delta I, -1], [1', 0]] with
+    right-hand side [-c; 1], and a pivot solves its rows and columns of W
+    plus the border (index p).  Raises QpFailureError when G G' overflows
+    (atoms of norm past about 1.3e154).
+    """
+    p = G.shape[0]
+    H = G @ G.T
+    # the largest diagonal entry bounds every entry of H, so a finite one
+    # proves H finite; LAPACK must not see an overflowed H
+    h_max = float(H.diagonal().max())
+    if not math.isfinite(h_max):
+        raise QpFailureError(f"Gram matrix overflows (largest squared atom norm {h_max})")
+    delta = 1e-14 * max(1.0, h_max)
+    kkt = np.empty((p + 1, p + 1))
+    kkt[:p, :p] = H
+    kkt.reshape(-1)[:p * (p + 2):p + 2] += delta  # diagonal of the H block
+    kkt[:p, p] = -1.0
+    kkt[p, :p] = 1.0
+    kkt[p, p] = 0.0
+    rhs = np.empty(p + 1)
+    np.negative(c, out=rhs[:p])
+    rhs[p] = 1.0
+    return H, kkt, rhs
+
+
+def _solution(lam: np.ndarray, G: np.ndarray, H: np.ndarray, e: np.ndarray, c: np.ndarray,
+              penalty_scale: float, tol: float, iterations: int,
+              converged: bool) -> SimplexQpSolution:
+    """The solution record of the weights `lam`, renormalized onto the simplex."""
+    lam = np.maximum(lam, 0.0)
+    lam /= lam.sum()
+    g_tilde = lam @ G
+    e_tilde = float(lam @ e)
+    w = 0.5 * float(g_tilde @ g_tilde) + penalty_scale * e_tilde
+    grad = H @ lam + c
+    mu = float(lam @ grad)
+    residual = max(0.0, mu - float(grad.min()))
+    support = lam > tol
+    if support.any():
+        residual = max(residual, float(np.abs(grad[support] - mu).max()))
+    return SimplexQpSolution(
+        lam=lam,
+        g_tilde=g_tilde,
+        e_tilde=e_tilde,
+        w=w,
+        kkt_residual=residual,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
 def solve_simplex_qp(
     instance: SimplexQpInstance,
     tol: float = 1e-10,
@@ -155,30 +222,12 @@ def solve_simplex_qp(
     e = instance.errors
     p = instance.n_atoms
     c = instance.penalty_scale * e
-    H = G @ G.T
-    # the largest diagonal entry bounds every entry of H, so a finite one
-    # proves H finite; LAPACK must not see an overflowed H
-    h_max = float(H.diagonal().max())
-    if not math.isfinite(h_max):
-        raise QpFailureError(f"Gram matrix overflows (largest squared atom norm {h_max})")
-    delta = 1e-14 * max(1.0, h_max)
+    H, kkt, rhs = _bordered_kkt(G, c)
     if max_iter is None:
         max_iter = max(20, 10 * p * p)
 
-    # equality-constrained subproblem on the working set W:
-    #   (H + delta I) y - mu 1 = -c,  1' y = 1
-    # The bordered matrix and right-hand side are built once for all atoms;
     # each pivot takes the rows and columns of W plus the border (index p),
-    # kept as the last entry of `member`.
-    kkt = np.empty((p + 1, p + 1))
-    kkt[:p, :p] = H
-    kkt.reshape(-1)[:p * (p + 2):p + 2] += delta  # diagonal of the H block
-    kkt[:p, p] = -1.0
-    kkt[p, :p] = 1.0
-    kkt[p, p] = 0.0
-    rhs = np.empty(p + 1)
-    np.negative(c, out=rhs[:p])
-    rhs[p] = 1.0
+    # kept as the last entry of `member`
     member = np.zeros(p + 1, dtype=bool)
     member[p] = True
     active = member[:p]
@@ -251,23 +300,93 @@ def solve_simplex_qp(
         mu = float(lam @ grad)
         converged = mu - float(grad.min()) <= stop_tol(mu)
 
-    lam = np.maximum(lam, 0.0)
-    lam /= lam.sum()
-    g_tilde = lam @ G
-    e_tilde = float(lam @ e)
-    w = 0.5 * float(g_tilde @ g_tilde) + instance.penalty_scale * e_tilde
-    grad = H @ lam + c
-    mu = float(lam @ grad)
-    residual = max(0.0, mu - float(grad.min()))
-    support = lam > tol
-    if support.any():
-        residual = max(residual, float(np.abs(grad[support] - mu).max()))
-    return SimplexQpSolution(
-        lam=lam,
-        g_tilde=g_tilde,
-        e_tilde=e_tilde,
-        w=w,
-        kkt_residual=residual,
-        iterations=iterations,
-        converged=converged,
-    )
+    return _solution(lam, G, H, e, c, instance.penalty_scale, tol, iterations, converged)
+
+
+def min_norm_point(G: np.ndarray, tol: float = 1e-10,
+                   max_iter: int | None = None) -> SimplexQpSolution:
+    """Minimum-norm point of the convex hull of the rows of G (Wolfe's nearest-point problem).
+
+    The simplex QP with all errors zero and unit scale, solved by an active
+    set with block pricing: every atom below the KKT threshold
+    `mu - tol * max(1, |mu|)` enters the working set at once, and every
+    zero-weight member whose equality-constrained weight is negative leaves
+    at once (a zero step); otherwise the ratio test drops one atom.  When
+    the same block of atoms is about to enter twice in a row, only the most
+    violating one enters; one entering atom always gets positive weight
+    (Wolfe 1976), so the method is finite.  Each pivot solves the bordered
+    system of `solve_simplex_qp`.
+
+    The hull point `g_tilde` is unique; the weights `lam` are not, and they
+    round differently from `solve_simplex_qp`'s.  `converged` is False when
+    `max_iter` pivots did not reach `tol`; nothing polishes the result.
+    Raises QpFailureError when G G' overflows.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    p = G.shape[0]
+    zeros = np.zeros(p)
+    H, kkt, rhs = _bordered_kkt(G, zeros)
+    # The regularization and the stopping rule are absolute below unit scale,
+    # where they would stop a hull of short atoms far from its nearest point.
+    # Such a hull is solved scaled by the power of two (exact) that brings its
+    # largest entry into [1, 2); every other hull is solved as given.
+    shift = 0
+    if H.diagonal().max() < 1.0:
+        shift = 1 - math.frexp(float(np.abs(G).max()))[1]
+        G = np.ldexp(G, shift)
+        H, kkt, rhs = _bordered_kkt(G, zeros)
+    if max_iter is None:
+        max_iter = max(20, 10 * p * p)
+    member = np.zeros(p + 1, dtype=bool)
+    member[p] = True
+    active = member[:p]
+    lam = np.zeros(p)
+    j0 = int(H.diagonal().argmin())
+    lam[j0] = 1.0
+    active[j0] = True
+
+    entered = None
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        iterations += 1
+        rows = np.flatnonzero(member)
+        k = rows.size - 1
+        idx = rows[:k]
+        y = np.linalg.solve(kkt.take(rows, axis=0).take(rows, axis=1), rhs.take(rows))[:k]
+        if y.min() >= -1e-12:
+            lam[:] = 0.0
+            lam[idx] = np.maximum(y, 0.0)
+            grad = H @ lam
+            mu = float(lam @ grad)
+            below = grad < mu - tol * max(1.0, abs(mu))
+            if not below.any():
+                converged = True
+                break
+            block = np.flatnonzero(below & ~active)
+            if block.size == 0:
+                break  # numerical stall: only members violate
+            if entered is not None and np.array_equal(block, entered):
+                block = block[[int(grad[block].argmin())]]
+            active[block] = True
+            entered = block
+            continue
+        cur = lam[idx]
+        leave = (y < 0.0) & (cur == 0.0)
+        if leave.any():
+            active[idx[leave]] = False
+            continue
+        ratios = np.full(k, np.inf)
+        np.divide(cur, cur - y, out=ratios, where=y < 0.0)
+        b = int(ratios.argmin())
+        cur += ratios[b] * (y - cur)
+        cur[b] = 0.0
+        lam[idx] = np.maximum(cur, 0.0)
+        active[idx[b]] = False
+
+    sol = _solution(lam, G, H, zeros, zeros, 1.0, tol, iterations, converged)
+    if shift:
+        sol.g_tilde = np.ldexp(sol.g_tilde, -shift)
+        sol.w = math.ldexp(sol.w, -2 * shift)
+        sol.kkt_residual = math.ldexp(sol.kkt_residual, -2 * shift)
+    return sol

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from helpers import huge_gradient_oracle, quadratic_oracle
 
+from bundlegs import gs, harness, qp
 from bundlegs.gs import GsConfig, gs_run
+from bundlegs.harness import ExperimentSpec
 from bundlegs.problems import make_problem
 from bundlegs.qp import QpFailureError, SimplexQpInstance, solve_simplex_qp
 
@@ -80,3 +82,37 @@ def test_config_validation():
 def test_overflowing_gram_raises_qp_failure():
     with pytest.raises(QpFailureError, match="Gram matrix overflows"):
         gs_run(huge_gradient_oracle(), GsConfig(seed=0))
+
+
+def test_unconverged_hull_raises_qp_failure(monkeypatch):
+    # one pivot cannot reach the nearest point of a sampled hull in n=8
+    monkeypatch.setattr(gs, "min_norm_point", lambda G: qp.min_norm_point(G, max_iter=1))
+    with pytest.raises(QpFailureError, match="did not converge in 1 pivots"):
+        gs_run(make_problem("ChainedLQ", 8), GsConfig(seed=0))
+    spec = ExperimentSpec(solver="gs", problem="ChainedLQ", n=8, replications=1,
+                          measure_time=False)
+    report, result = harness._single_run(spec, make_problem("ChainedLQ", 8), 0, 5e-4)
+    assert result is None
+    assert report.stop_reason.startswith("abort: hull QP of 17 gradients did not converge")
+    assert not report.converged and report.g_eval == 0
+
+
+def test_nearest_point_kernel_keeps_the_trajectories():
+    # the GS baseline needs only the hull point, which both kernels find; on
+    # the gradient-economy problems their runs take the same steps
+    def runs():
+        out = []
+        for problem in (1, 3, 4, 8):
+            spec = ExperimentSpec(solver="gs", problem=str(problem), n=10, replications=5,
+                                  stop_rel_err=5e-4, measure_time=False)
+            reports, _ = harness.run_experiment(spec)
+            out += [(r.problem, r.seed, r.iters, r.g_eval, r.stop_reason) for r in reports]
+        return out
+
+    shipped = runs()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gs, "min_norm_point", lambda G: solve_simplex_qp(
+            SimplexQpInstance(G, np.zeros(len(G)), 1.0)))
+        swapped = runs()
+    assert shipped == swapped
+    assert all(reason == "rel_err" for *_, reason in shipped)

@@ -5,7 +5,7 @@ import pytest
 from helpers import grid_min_objective, reference_solve_simplex_qp
 
 from bundlegs import bgs
-from bundlegs.qp import QpFailureError, SimplexQpInstance, solve_simplex_qp
+from bundlegs.qp import QpFailureError, SimplexQpInstance, min_norm_point, solve_simplex_qp
 
 SOLUTION_FIELDS = ("lam", "g_tilde", "e_tilde", "w", "kkt_residual", "iterations", "converged")
 
@@ -348,3 +348,152 @@ def test_non_finite_restricted_solution_falls_back_to_lstsq(monkeypatch):
     sol = assert_same_solution(inst)
     assert sol.converged
     assert_kkt_certificate(inst, sol)
+
+
+# ---------------------------------------------------------------------------
+# nearest-point kernel of the gradient-sampling baseline
+# ---------------------------------------------------------------------------
+# `min_norm_point` rounds differently from `solve_simplex_qp`, so only the
+# unique hull point is compared: its norm to 1e-12 of the largest atom, and
+# the certificate min_j <g_j, x> >= ||x||^2 of a minimum-norm point.  With
+# `scale`, the kernel solves the hull scale * G and its point is checked,
+# divided by `scale`, against the reference on G: the reference's stopping
+# rule is absolute below unit scale, so it would not vouch for a short hull.
+
+
+def assert_nearest_point(G, grid=False, scale=1.0):
+    G = np.asarray(G, dtype=float)
+    sol = min_norm_point(scale * G)
+    want = reference_solve_simplex_qp(SimplexQpInstance(G, np.zeros(len(G)), 1.0))
+    assert sol.converged
+    x = sol.g_tilde / scale
+    g_max = float(np.linalg.norm(G, axis=1).max())
+    assert abs(np.linalg.norm(x) - np.linalg.norm(want.g_tilde)) <= 1e-12 * g_max
+    assert (G @ x).min() >= x @ x - 1e-10 * max(1.0, g_max * g_max)
+    assert sol.lam.min() >= 0.0 and abs(sol.lam.sum() - 1.0) <= 1e-12
+    assert sol.e_tilde == 0.0 and sol.w == 0.5 * float(sol.g_tilde @ sol.g_tilde)
+    if grid:
+        assert -1e-9 <= grid_min_objective(G, np.zeros(len(G)), 1.0) - sol.w / scale**2 <= 1e-4
+    return sol
+
+
+def test_nearest_point_on_gradient_sampling_hulls():
+    rng = np.random.default_rng(201)
+    for pieces in (2, 5, 20, 101):
+        for _ in range(3):
+            assert_nearest_point(_hull(rng, 101, 50, pieces))
+
+
+def test_nearest_point_on_duplicate_atoms():
+    rng = np.random.default_rng(202)
+    for _ in range(100):
+        p, n = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        base = rng.standard_normal((int(rng.integers(1, 4)), n))
+        assert_nearest_point(base[rng.integers(0, base.shape[0], p)], grid=p <= 4)
+
+
+def test_nearest_point_on_near_identical_clouds():
+    rng = np.random.default_rng(203)
+    for _ in range(100):
+        p, n = int(rng.integers(2, 12)), int(rng.integers(1, 8))
+        assert_nearest_point(rng.standard_normal(n) + 1e-9 * rng.standard_normal((p, n)),
+                             grid=p <= 4)
+
+
+def test_nearest_point_with_more_atoms_than_dimensions():
+    # p > n + 1: every working set past n + 1 atoms is affinely dependent
+    rng = np.random.default_rng(204)
+    for _ in range(150):
+        n = int(rng.integers(2, 5))
+        p = int(rng.integers(n + 2, 40))
+        offset = rng.standard_normal(n) * rng.choice([0.0, 0.5, 2.0])
+        assert_nearest_point(rng.standard_normal((p, n)) + offset, grid=p <= 4)
+
+
+def test_nearest_point_of_hull_containing_origin():
+    rng = np.random.default_rng(205)
+    assert np.linalg.norm(assert_nearest_point([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.1]],
+                                               grid=True).g_tilde) <= 1e-8
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        G = rng.standard_normal((int(rng.integers(n + 1, 30)), n))
+        G = np.vstack([G, -G.mean(axis=0) * G.shape[0]])  # the centroid is 0
+        assert np.linalg.norm(assert_nearest_point(G).g_tilde) <= 1e-7
+
+
+def test_nearest_point_of_singleton():
+    sol = assert_nearest_point([[2.0, -1.0]], grid=True)
+    np.testing.assert_array_equal(sol.lam, [1.0])
+    np.testing.assert_array_equal(sol.g_tilde, [2.0, -1.0])
+    assert sol.iterations == 1 and sol.kkt_residual == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1e-5, 1.0, 1e5, 1e50, 1e150])
+def test_nearest_point_across_atom_scales(scale):
+    rng = np.random.default_rng(206)
+    for pieces in (3, 30):
+        assert_nearest_point(_hull(rng, 31, 10, pieces), scale=scale)
+    assert_nearest_point(rng.standard_normal((4, 2)), grid=True, scale=scale)
+
+
+def test_nearest_point_scales_short_hulls_exactly():
+    # a hull of atoms shorter than 1 is solved at a power-of-two scale, so
+    # scaling it by another power of two scales the result exactly
+    G = np.random.default_rng(208).standard_normal((31, 10))
+    base = min_norm_point(np.ldexp(G, -3))
+    for k in (-4, -40, -400, -1000):
+        sol = min_norm_point(np.ldexp(G, k))
+        np.testing.assert_array_equal(sol.lam, base.lam)
+        np.testing.assert_array_equal(sol.g_tilde, np.ldexp(base.g_tilde, k + 3))
+        assert sol.iterations == base.iterations
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("atoms", [[[1e155, 0.0]], [[1e155, 0.0], [0.0, 1.0]]],
+                         ids=["one", "two"])
+def test_nearest_point_overflowing_gram_raises_typed_error(atoms, capfd):
+    with pytest.raises(QpFailureError, match="Gram matrix overflows"):
+        min_norm_point(np.array(atoms))
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out and "DLASCL" not in err
+
+
+def test_nearest_point_one_pivot_is_not_converged():
+    G = _three_corners().atoms
+    assert min_norm_point(G).iterations > 1
+    sol = min_norm_point(G, max_iter=1)
+    assert sol.iterations == 1
+    assert not sol.converged
+
+
+def test_nearest_point_enters_one_atom_after_a_whole_block_leaves(monkeypatch):
+    # In exact arithmetic one atom of an entering block always keeps positive
+    # weight (Wolfe's argument), and no instance of the tests above lets a
+    # whole block leave.  Round-off that did is simulated here: the first
+    # solve after a block of atoms enters returns negative weights, so the
+    # block leaves on a zero step and the working set is back where it was.
+    # The same block is then about to enter again, and only its most
+    # violating atom may.
+    real_solve = np.linalg.solve
+    sizes = []  # working-set size of every pivot
+    flipped_at = []
+
+    def flipped(a, b):
+        sizes.append(a.shape[0] - 1)
+        y = real_solve(a, b)
+        if not flipped_at and len(sizes) >= 2 and sizes[-1] >= sizes[-2] + 2:
+            flipped_at.append(len(sizes) - 1)
+            y[:-1] = -1.0
+        return y
+
+    rng = np.random.default_rng(207)
+    G = rng.standard_normal((20, 5)) + 0.5
+    monkeypatch.setattr(np.linalg, "solve", flipped)
+    sol = min_norm_point(G)
+    monkeypatch.undo()
+    i = flipped_at[0]
+    assert sizes[i + 1] == sizes[i - 1] and sizes[i + 2] == sizes[i - 1] + 1
+    assert sol.converged
+    want = reference_solve_simplex_qp(SimplexQpInstance(G, np.zeros(len(G)), 1.0))
+    g_max = float(np.linalg.norm(G, axis=1).max())
+    assert abs(np.linalg.norm(sol.g_tilde) - np.linalg.norm(want.g_tilde)) <= 1e-12 * g_max
