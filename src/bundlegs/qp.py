@@ -32,7 +32,8 @@ restricted to the rows and columns of W and the border.  The full
   blocks: every violating atom enters at once.  It needs about half the
   pivots on the baseline's hulls of 2n+1 gradients, and it rounds
   differently.  Only the hull point is unique, and it is all the
-  gradient-sampling baseline uses.
+  gradient-sampling baseline uses.  It shares the projected-gradient polish
+  for an active set that round-off stalls.
 """
 
 from __future__ import annotations
@@ -147,6 +148,11 @@ def _projected_gradient(H: np.ndarray, c: np.ndarray, lam0: np.ndarray,
     return x, max_iter
 
 
+def _max_pivots(p: int) -> int:
+    """Default pivot limit of both kernels on p atoms."""
+    return max(20, 10 * p * p)
+
+
 def _bordered_kkt(G: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H = G G', and the bordered matrix and right-hand side of every pivot.
 
@@ -224,7 +230,7 @@ def solve_simplex_qp(
     c = instance.penalty_scale * e
     H, kkt, rhs = _bordered_kkt(G, c)
     if max_iter is None:
-        max_iter = max(20, 10 * p * p)
+        max_iter = _max_pivots(p)
 
     # each pivot takes the rows and columns of W plus the border (index p),
     # kept as the last entry of `member`
@@ -303,40 +309,43 @@ def solve_simplex_qp(
     return _solution(lam, G, H, e, c, instance.penalty_scale, tol, iterations, converged)
 
 
-def min_norm_point(G: np.ndarray, tol: float = 1e-10,
-                   max_iter: int | None = None) -> SimplexQpSolution:
+def min_norm_point(G: np.ndarray) -> SimplexQpSolution:
     """Minimum-norm point of the convex hull of the rows of G (Wolfe's nearest-point problem).
 
     The simplex QP with all errors zero and unit scale, solved by an active
     set with block pricing: every atom below the KKT threshold
-    `mu - tol * max(1, |mu|)` enters the working set at once, and every
-    zero-weight member whose equality-constrained weight is negative leaves
-    at once (a zero step); otherwise the ratio test drops one atom.  When
-    the same block of atoms is about to enter twice in a row, only the most
-    violating one enters; one entering atom always gets positive weight
-    (Wolfe 1976), so the method is finite.  Each pivot solves the bordered
-    system of `solve_simplex_qp`.
+    `mu - tol * max(1, |mu|)` (tol = 1e-10, `solve_simplex_qp`'s default)
+    enters the working set at once, and every zero-weight member whose
+    equality-constrained weight is negative leaves at once (a zero step);
+    otherwise the ratio test drops one atom.  When the same block of atoms
+    is about to enter twice in a row, only the most violating one enters;
+    one entering atom always gets positive weight (Wolfe 1976), so the
+    method is finite.  Each pivot solves the bordered system of
+    `solve_simplex_qp`.  When round-off stalls the active set (only members
+    violate), the point is polished by projected gradient, as there.
 
     The hull point `g_tilde` is unique; the weights `lam` are not, and they
     round differently from `solve_simplex_qp`'s.  `converged` is False when
-    `max_iter` pivots did not reach `tol`; nothing polishes the result.
+    the pivot limit runs out or the polish falls short of the tolerance.
     Raises QpFailureError when G G' overflows.
     """
+    tol = 1e-10
     G = np.atleast_2d(np.asarray(G, dtype=float))
     p = G.shape[0]
     zeros = np.zeros(p)
-    H, kkt, rhs = _bordered_kkt(G, zeros)
     # The regularization and the stopping rule are absolute below unit scale,
     # where they would stop a hull of short atoms far from its nearest point.
-    # Such a hull is solved scaled by the power of two (exact) that brings its
-    # largest entry into [1, 2); every other hull is solved as given.
+    # A hull whose atoms are all shorter than 1 is solved scaled by the power
+    # of two (exact) that brings its largest entry into [1, 2); every other
+    # hull is solved as given.  (An entry of 1 or more rules the first case
+    # out before G * G can overflow.)
     shift = 0
-    if H.diagonal().max() < 1.0:
-        shift = 1 - math.frexp(float(np.abs(G).max()))[1]
+    a_max = float(np.abs(G).max())
+    if a_max < 1.0 and (G * G).sum(axis=1).max() < 1.0:
+        shift = 1 - math.frexp(a_max)[1]
         G = np.ldexp(G, shift)
-        H, kkt, rhs = _bordered_kkt(G, zeros)
-    if max_iter is None:
-        max_iter = max(20, 10 * p * p)
+    H, kkt, rhs = _bordered_kkt(G, zeros)
+    max_iter = _max_pivots(p)
     member = np.zeros(p + 1, dtype=bool)
     member[p] = True
     active = member[:p]
@@ -364,8 +373,13 @@ def min_norm_point(G: np.ndarray, tol: float = 1e-10,
                 converged = True
                 break
             block = np.flatnonzero(below & ~active)
-            if block.size == 0:
-                break  # numerical stall: only members violate
+            if block.size == 0:  # numerical stall: only members violate
+                lam, pg_iters = _projected_gradient(H, zeros, lam, tol * max(1.0, abs(mu)))
+                iterations += pg_iters
+                grad = H @ lam
+                mu = float(lam @ grad)
+                converged = mu - float(grad.min()) <= tol * max(1.0, abs(mu))
+                break
             if entered is not None and np.array_equal(block, entered):
                 block = block[[int(grad[block].argmin())]]
             active[block] = True

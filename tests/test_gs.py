@@ -86,7 +86,7 @@ def test_overflowing_gram_raises_qp_failure():
 
 def test_unconverged_hull_raises_qp_failure(monkeypatch):
     # one pivot cannot reach the nearest point of a sampled hull in n=8
-    monkeypatch.setattr(gs, "min_norm_point", lambda G: qp.min_norm_point(G, max_iter=1))
+    monkeypatch.setattr(qp, "_max_pivots", lambda p: 1)
     with pytest.raises(QpFailureError, match="did not converge in 1 pivots"):
         gs_run(make_problem("ChainedLQ", 8), GsConfig(seed=0))
     spec = ExperimentSpec(solver="gs", problem="ChainedLQ", n=8, replications=1,

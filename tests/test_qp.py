@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import grid_min_objective, reference_solve_simplex_qp
 
-from bundlegs import bgs
+from bundlegs import bgs, qp
 from bundlegs.qp import QpFailureError, SimplexQpInstance, min_norm_point, solve_simplex_qp
 
 SOLUTION_FIELDS = ("lam", "g_tilde", "e_tilde", "w", "kkt_residual", "iterations", "converged")
@@ -189,15 +189,20 @@ def test_finite_atoms_with_overflowing_sum_accepted():
     np.testing.assert_array_equal(inst.atoms, atoms)
 
 
-# finite atoms of norm past about 1.3e154 overflow G G'; the solver must
-# raise its typed error before LAPACK prints to stdout and fails untyped
+# finite atoms of norm past about 1.3e154 overflow G G'; both kernels must
+# raise their typed error before LAPACK prints to stdout and fails untyped
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-@pytest.mark.parametrize("atoms", [[[1e155, 0.0]], [[1e155, 0.0], [0.0, 1.0]]],
-                         ids=["one", "two"])
-def test_overflowing_gram_raises_typed_error(atoms, capfd):
+@pytest.mark.parametrize("kernel, atoms", [
+    pytest.param(kernel, atoms, id=prefix + name)
+    for prefix, kernel in (("", "qp"), ("nearest-", "nearest"))
+    for name, atoms in (("one", [[1e155, 0.0]]), ("two", [[1e155, 0.0], [0.0, 1.0]]))])
+def test_overflowing_gram_raises_typed_error(kernel, atoms, capfd):
     inst = SimplexQpInstance(atoms, np.zeros(len(atoms)), 1.0)
     with pytest.raises(QpFailureError, match="Gram matrix overflows"):
-        solve_simplex_qp(inst)
+        if kernel == "qp":
+            solve_simplex_qp(inst)
+        else:
+            min_norm_point(inst.atoms)
     out, err = capfd.readouterr()
     assert "DLASCL" not in out and "DLASCL" not in err
     # the bundle solver and the harness catch it under its old name
@@ -448,22 +453,29 @@ def test_nearest_point_scales_short_hulls_exactly():
         assert sol.iterations == base.iterations
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-@pytest.mark.parametrize("atoms", [[[1e155, 0.0]], [[1e155, 0.0], [0.0, 1.0]]],
-                         ids=["one", "two"])
-def test_nearest_point_overflowing_gram_raises_typed_error(atoms, capfd):
-    with pytest.raises(QpFailureError, match="Gram matrix overflows"):
-        min_norm_point(np.array(atoms))
-    out, err = capfd.readouterr()
-    assert "DLASCL" not in out and "DLASCL" not in err
-
-
-def test_nearest_point_one_pivot_is_not_converged():
+def test_nearest_point_one_pivot_is_not_converged(monkeypatch):
     G = _three_corners().atoms
     assert min_norm_point(G).iterations > 1
-    sol = min_norm_point(G, max_iter=1)
+    monkeypatch.setattr(qp, "_max_pivots", lambda p: 1)
+    sol = min_norm_point(G)
     assert sol.iterations == 1
     assert not sol.converged
+
+
+def test_nearest_point_polishes_a_stalled_active_set(monkeypatch):
+    # atom norms spread over 1e+-4: delta = 1e-14 * max ||g||^2 swamps the
+    # short atoms, the active set stalls with only members violating, and
+    # the projected-gradient polish reaches the tolerance
+    rng = np.random.default_rng(35)
+    n = int(rng.integers(2, 5))
+    p = int(rng.integers(n + 2, 20))
+    G = rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-4, 4, (p, 1))
+    polished = []
+    real = qp._projected_gradient
+    monkeypatch.setattr(qp, "_projected_gradient",
+                        lambda *args: polished.append(1) or real(*args))
+    assert_nearest_point(G)
+    assert polished
 
 
 def test_nearest_point_enters_one_atom_after_a_whole_block_leaves(monkeypatch):
