@@ -75,19 +75,23 @@ def main(argv: list[str] | None = None) -> int:
     if solver == "gs" and "m" in opts:
         solver_options["sample_size"] = int(_num(opts["m"]))
 
-    spec = ExperimentSpec(
-        solver=solver,
-        problem=str(opts["problem"]),
-        n=int(opts["n"]) if "n" in opts else None,
-        replications=int(opts.get("reps", 5)),
-        stop_rel_err=float(opts["tol"]) if "tol" in opts else None,
-        seed_base=int(opts.get("seed", 0)),
-        output=opts.get("out"),
-        format=str(opts.get("format", "csv")),
-        solver_options=solver_options,
-        fd_step=float(opts["fd"]) if "fd" in opts else None,
-        trace_path=opts.get("trace"),
-    )
+    try:
+        spec = ExperimentSpec(
+            solver=solver,
+            problem=str(opts["problem"]),
+            n=int(opts["n"]) if "n" in opts else None,
+            replications=int(opts.get("reps", 5)),
+            stop_rel_err=float(opts["tol"]) if "tol" in opts else None,
+            seed_base=int(opts.get("seed", 0)),
+            output=opts.get("out"),
+            format=str(opts.get("format", "csv")),
+            solver_options=solver_options,
+            fd_step=float(opts["fd"]) if "fd" in opts else None,
+            trace_path=opts.get("trace"),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports, aggregate = run_experiment(spec)
     for r in reports:
         print(f"  seed={r.seed} iters={r.iters} g_eval={r.g_eval} "

@@ -53,6 +53,8 @@ class ExperimentSpec:
             raise ValueError("stop_rel_err must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.fd_step is not None and not self.fd_step > 0:
+            raise ValueError(f"fd_step must be positive, got {self.fd_step!r}")
 
 
 @dataclass
@@ -94,7 +96,7 @@ def _single_run(spec: ExperimentSpec, oracle: ObjectiveOracle, seed: int,
                 tol: float) -> tuple[RunReport, object]:
     n = oracle.dimension
     start = perturb_start(oracle.x0, n, np.random.default_rng([seed, 1]))
-    mode = GradientMode.forward(spec.fd_step) if spec.fd_step else GradientMode.exact()
+    mode = GradientMode.exact() if spec.fd_step is None else GradientMode.forward(spec.fd_step)
 
     e_start = relative_error(oracle.f(start), oracle.f_star)
     if e_start <= tol:

@@ -4,10 +4,17 @@ Each problem carries its known optimal value and the starting point used in
 the nonsmooth-optimization test literature.  Problems 1-8 are scalable to any
 dimension n >= 2; problems 9-13 have a fixed dimension.
 
-At a kink the gradient oracles return the gradient of one active branch
-(first index wins), which is always a valid subgradient of the convex
-objective; points of nondifferentiability have measure zero and are never
-hit by the samplers with probability 1.
+At a kink the gradient oracles return the gradient of one active branch,
+which is always a valid subgradient of the convex objective: where pieces
+tie, the lowest-numbered piece wins (argmax's first-index rule).  Points of
+nondifferentiability have measure zero and are never hit by the samplers
+with probability 1.
+
+The bodies are written for speed: every sub-expression is computed once,
+the active piece is picked by comparisons, and Rosen, QL and Mifflin1 work
+on Python floats.  Their outputs are pinned byte for byte, including
+the sign of zero, to the plain bodies kept in `tests/helpers.py`, because
+the solvers' gradient counts react to the last bit of a gradient.
 """
 
 from __future__ import annotations
@@ -166,14 +173,17 @@ def _chained_lq(n: int) -> ObjectiveOracle:
 
     def f(x):
         a = -x[:-1] - x[1:]
-        b = a + (x[:-1] ** 2 + x[1:] ** 2 - 1.0)
-        return float(np.maximum(a, b).sum())
+        sq = x * x
+        return float(np.maximum(a, a + (sq[:-1] + sq[1:] - 1.0)).sum())
 
     def g(x):
+        # the quadratic piece is active strictly outside the unit circle
+        sq = x * x
+        quad = sq[:-1] + sq[1:] > 1.0
+        d = 2.0 * x - 1.0
         out = np.zeros_like(x)
-        quad = (x[:-1] ** 2 + x[1:] ** 2 - 1.0) > 0.0
-        out[:-1] += -1.0 + np.where(quad, 2.0 * x[:-1], 0.0)
-        out[1:] += -1.0 + np.where(quad, 2.0 * x[1:], 0.0)
+        out[:-1] += np.where(quad, d[:-1], -1.0)
+        out[1:] += np.where(quad, d[1:], -1.0)
         return out
 
     def smooth(x):
@@ -184,33 +194,34 @@ def _chained_lq(n: int) -> ObjectiveOracle:
 
 
 def _cb3_terms(x: np.ndarray):
+    # the three pieces of every pair (x_i, x_{i+1}), and 2 - x
+    p = 2.0 - x
+    sq = p * p
     t1 = x[:-1] ** 4 + x[1:] ** 2
-    t2 = (2.0 - x[:-1]) ** 2 + (2.0 - x[1:]) ** 2
     t3 = 2.0 * np.exp(x[1:] - x[:-1])
-    return t1, t2, t3
+    return t1, sq[:-1] + sq[1:], t3, p
 
 
 def _chained_cb3_1(n: int) -> ObjectiveOracle:
     # sum over pairs of max{x_i^4 + x_{i+1}^2, (2-x_i)^2 + (2-x_{i+1})^2, 2 e^(x_{i+1}-x_i)}
     def f(x):
-        t1, t2, t3 = _cb3_terms(x)
+        t1, t2, t3, _ = _cb3_terms(x)
         return float(np.maximum(t1, np.maximum(t2, t3)).sum())
 
     def g(x):
-        t1, t2, t3 = _cb3_terms(x)
-        which = np.argmax(np.vstack([t1, t2, t3]), axis=0)
+        t1, t2, t3, p = _cb3_terms(x)
+        first = (t1 >= t2) & (t1 >= t3)
+        third = t3 > t2  # where the first piece is not active
+        m = -2.0 * p
+        gi = np.where(first, 4.0 * x[:-1] ** 3, np.where(third, -t3, m[:-1]))
+        gj = np.where(first, 2.0 * x[1:], np.where(third, t3, m[1:]))
         out = np.zeros_like(x)
-        e3 = 2.0 * np.exp(x[1:] - x[:-1])
-        gi = np.where(which == 0, 4.0 * x[:-1] ** 3,
-                      np.where(which == 1, -2.0 * (2.0 - x[:-1]), -e3))
-        gj = np.where(which == 0, 2.0 * x[1:],
-                      np.where(which == 1, -2.0 * (2.0 - x[1:]), e3))
         out[:-1] += gi
         out[1:] += gj
         return out
 
     def smooth(x):
-        t1, t2, t3 = _cb3_terms(x)
+        t1, t2, t3, _ = _cb3_terms(x)
         stack = np.sort(np.vstack([t1, t2, t3]), axis=0)
         gap = stack[2] - stack[1]
         return bool((gap > 1e-10 * (1.0 + np.abs(stack[2]))).all())
@@ -221,27 +232,27 @@ def _chained_cb3_1(n: int) -> ObjectiveOracle:
 def _chained_cb3_2(n: int) -> ObjectiveOracle:
     # max of the three full sums of the CB3 pair terms
     def f(x):
-        t1, t2, t3 = _cb3_terms(x)
+        t1, t2, t3, _ = _cb3_terms(x)
         return float(max(t1.sum(), t2.sum(), t3.sum()))
 
     def g(x):
-        t1, t2, t3 = _cb3_terms(x)
-        which = int(np.argmax([t1.sum(), t2.sum(), t3.sum()]))
+        t1, t2, t3, p = _cb3_terms(x)
+        s1, s2, s3 = t1.sum(), t2.sum(), t3.sum()
         out = np.zeros_like(x)
-        if which == 0:
+        if s1 >= s2 and s1 >= s3:
             out[:-1] += 4.0 * x[:-1] ** 3
             out[1:] += 2.0 * x[1:]
-        elif which == 1:
-            out[:-1] += -2.0 * (2.0 - x[:-1])
-            out[1:] += -2.0 * (2.0 - x[1:])
+        elif s3 > s2:
+            out[:-1] -= t3
+            out[1:] += t3
         else:
-            e3 = 2.0 * np.exp(x[1:] - x[:-1])
-            out[:-1] -= e3
-            out[1:] += e3
+            m = -2.0 * p
+            out[:-1] += m[:-1]
+            out[1:] += m[1:]
         return out
 
     def smooth(x):
-        t1, t2, t3 = _cb3_terms(x)
+        t1, t2, t3, _ = _cb3_terms(x)
         sums = np.sort([t1.sum(), t2.sum(), t3.sum()])
         return bool(sums[2] - sums[1] > 1e-10 * (1.0 + abs(sums[2])))
 
@@ -318,44 +329,70 @@ def _partly_smooth(n: int) -> ObjectiveOracle:
     return ObjectiveOracle("PartlySmooth", n, 0.0, np.ones(n), f, g, smooth)
 
 
+def _square(v: float) -> float:
+    # v ** 2 by the C library's pow, which numpy also uses on a scalar (an
+    # array's square is a product, which can differ in the last bit); where
+    # Python raises on overflow, numpy's scalar gives inf
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _first_max(vals) -> int:
+    # np.argmax's rule: the first NaN, else the first of the largest values
+    k = 0
+    for i, v in enumerate(vals):
+        if v != v:
+            return i
+        if v > vals[k]:
+            k = i
+    return k
+
+
 def _ql(n: int) -> ObjectiveOracle:
-    def pieces(x):
-        f1 = x[0] ** 2 + x[1] ** 2
-        f2 = f1 + 10.0 * (-4.0 * x[0] - x[1] + 4.0)
-        f3 = f1 + 10.0 * (-x[0] - 2.0 * x[1] + 6.0)
+    def pieces(x1, x2):
+        f1 = _square(x1) + _square(x2)
+        f2 = f1 + 10.0 * (-4.0 * x1 - x2 + 4.0)
+        f3 = f1 + 10.0 * (-x1 - 2.0 * x2 + 6.0)
         return f1, f2, f3
 
     def f(x):
-        return float(max(pieces(x)))
+        return max(pieces(*x.tolist()))
 
     def g(x):
-        which = int(np.argmax(pieces(x)))
-        out = 2.0 * x.copy()
+        x1, x2 = x.tolist()
+        which = _first_max(pieces(x1, x2))
         if which == 1:
-            out += np.array([-40.0, -10.0])
-        elif which == 2:
-            out += np.array([-10.0, -20.0])
-        return out
+            return np.array([2.0 * x1 - 40.0, 2.0 * x2 - 10.0])
+        if which == 2:
+            return np.array([2.0 * x1 - 10.0, 2.0 * x2 - 20.0])
+        return 2.0 * x
 
     def smooth(x):
-        vals = np.sort(pieces(x))
+        vals = sorted(pieces(*x.tolist()))
         return bool(vals[2] - vals[1] > 1e-10 * (1.0 + abs(vals[2])))
 
     return ObjectiveOracle("QL", 2, 7.2, np.array([-1.0, 5.0]), f, g, smooth)
 
 
 def _mifflin1(n: int) -> ObjectiveOracle:
+    def circle(x1, x2):
+        return _square(x1) + _square(x2) - 1.0
+
     def f(x):
-        return float(-x[0] + 20.0 * max(x[0] ** 2 + x[1] ** 2 - 1.0, 0.0))
+        x1, x2 = x.tolist()
+        return -x1 + 20.0 * max(circle(x1, x2), 0.0)
 
     def g(x):
-        out = np.array([-1.0, 0.0])
-        if x[0] ** 2 + x[1] ** 2 - 1.0 >= 0.0:
-            out += 40.0 * x
-        return out
+        x1, x2 = x.tolist()
+        if circle(x1, x2) >= 0.0:
+            # 0.0 + turns a -0.0 into +0.0, as adding to a zero array does
+            return np.array([-1.0 + 40.0 * x1, 0.0 + 40.0 * x2])
+        return np.array([-1.0, 0.0])
 
     def smooth(x):
-        return bool(abs(x[0] ** 2 + x[1] ** 2 - 1.0) > 1e-10)
+        return bool(abs(circle(*x.tolist())) > 1e-10)
 
     return ObjectiveOracle("Mifflin1", 2, -1.0, np.array([0.8, 0.6]), f, g, smooth)
 
@@ -383,34 +420,33 @@ def _goffin(n: int) -> ObjectiveOracle:
 def _rosen(n: int) -> ObjectiveOracle:
     # Rosen-Suzuki: max of a quadratic and three penalized quadratics,
     # minimum -44 at (0, 1, 2, -1).
-    def pieces(x):
-        x1, x2, x3, x4 = x
-        f1 = x1 ** 2 + x2 ** 2 + 2.0 * x3 ** 2 + x4 ** 2 - 5.0 * x1 - 5.0 * x2 - 21.0 * x3 + 7.0 * x4
-        g1 = x1 ** 2 + x2 ** 2 + x3 ** 2 + x4 ** 2 + x1 - x2 + x3 - x4 - 8.0
-        g2 = x1 ** 2 + 2.0 * x2 ** 2 + x3 ** 2 + 2.0 * x4 ** 2 - x1 - x4 - 10.0
-        g3 = x1 ** 2 + x2 ** 2 + x3 ** 2 + 2.0 * x1 - x2 - x4 - 5.0
-        return f1, g1, g2, g3
+    def pieces(x1, x2, x3, x4):
+        s1, s2, s3, s4 = _square(x1), _square(x2), _square(x3), _square(x4)
+        f1 = s1 + s2 + 2.0 * s3 + s4 - 5.0 * x1 - 5.0 * x2 - 21.0 * x3 + 7.0 * x4
+        g1 = s1 + s2 + s3 + s4 + x1 - x2 + x3 - x4 - 8.0
+        g2 = s1 + 2.0 * s2 + s3 + 2.0 * s4 - x1 - x4 - 10.0
+        g3 = s1 + s2 + s3 + 2.0 * x1 - x2 - x4 - 5.0
+        return f1, f1 + 10.0 * g1, f1 + 10.0 * g2, f1 + 10.0 * g3
 
     def f(x):
-        f1, g1, g2, g3 = pieces(x)
-        return float(max(f1, f1 + 10.0 * g1, f1 + 10.0 * g2, f1 + 10.0 * g3))
+        return max(pieces(*x.tolist()))
 
     def g(x):
-        f1, g1, g2, g3 = pieces(x)
-        which = int(np.argmax([f1, f1 + 10.0 * g1, f1 + 10.0 * g2, f1 + 10.0 * g3]))
-        x1, x2, x3, x4 = x
-        out = np.array([2.0 * x1 - 5.0, 2.0 * x2 - 5.0, 4.0 * x3 - 21.0, 2.0 * x4 + 7.0])
+        x1, x2, x3, x4 = x.tolist()
+        which = _first_max(pieces(x1, x2, x3, x4))
+        out = (2.0 * x1 - 5.0, 2.0 * x2 - 5.0, 4.0 * x3 - 21.0, 2.0 * x4 + 7.0)
         if which == 1:
-            out += 10.0 * np.array([2.0 * x1 + 1.0, 2.0 * x2 - 1.0, 2.0 * x3 + 1.0, 2.0 * x4 - 1.0])
+            pen = (2.0 * x1 + 1.0, 2.0 * x2 - 1.0, 2.0 * x3 + 1.0, 2.0 * x4 - 1.0)
         elif which == 2:
-            out += 10.0 * np.array([2.0 * x1 - 1.0, 4.0 * x2, 2.0 * x3, 4.0 * x4 - 1.0])
+            pen = (2.0 * x1 - 1.0, 4.0 * x2, 2.0 * x3, 4.0 * x4 - 1.0)
         elif which == 3:
-            out += 10.0 * np.array([2.0 * x1 + 2.0, 2.0 * x2 - 1.0, 2.0 * x3, -1.0])
-        return out
+            pen = (2.0 * x1 + 2.0, 2.0 * x2 - 1.0, 2.0 * x3, -1.0)
+        else:
+            return np.array(out)
+        return np.array([o + 10.0 * d for o, d in zip(out, pen)])
 
     def smooth(x):
-        f1, g1, g2, g3 = pieces(x)
-        vals = np.sort([f1, f1 + 10.0 * g1, f1 + 10.0 * g2, f1 + 10.0 * g3])
+        vals = sorted(pieces(*x.tolist()))
         return bool(vals[3] - vals[2] > 1e-10 * (1.0 + abs(vals[3])))
 
     return ObjectiveOracle("Rosen", 4, -44.0, np.zeros(4), f, g, smooth)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from bundlegs.problems import ObjectiveOracle
+from bundlegs.problems import ObjectiveOracle, make_problem
 from bundlegs.qp import SimplexQpInstance, SimplexQpSolution
 
 
@@ -278,3 +279,170 @@ def reference_solve_simplex_qp(
         iterations=iterations,
         converged=converged,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference oracle bodies
+# ---------------------------------------------------------------------------
+# Verbatim copies of the `eval_f` / `eval_grad` bodies of the problems whose
+# bodies were rewritten for speed, as they stood before: numpy scalars for
+# the fixed-dimension problems, `vstack` + `argmax` for the CB3 pair pieces.
+# `bundlegs.problems` must reproduce them byte for byte, including the sign
+# of zero and argmax's first-index tie rule, because the solvers' counts
+# react to the last bit of a gradient.
+
+
+def _ref_cb3_terms(x: np.ndarray):
+    t1 = x[:-1] ** 4 + x[1:] ** 2
+    t2 = (2.0 - x[:-1]) ** 2 + (2.0 - x[1:]) ** 2
+    t3 = 2.0 * np.exp(x[1:] - x[:-1])
+    return t1, t2, t3
+
+
+def _ref_chained_lq():
+    def f(x):
+        a = -x[:-1] - x[1:]
+        b = a + (x[:-1] ** 2 + x[1:] ** 2 - 1.0)
+        return float(np.maximum(a, b).sum())
+
+    def g(x):
+        out = np.zeros_like(x)
+        quad = (x[:-1] ** 2 + x[1:] ** 2 - 1.0) > 0.0
+        out[:-1] += -1.0 + np.where(quad, 2.0 * x[:-1], 0.0)
+        out[1:] += -1.0 + np.where(quad, 2.0 * x[1:], 0.0)
+        return out
+
+    return f, g
+
+
+def _ref_chained_cb3_1():
+    def f(x):
+        t1, t2, t3 = _ref_cb3_terms(x)
+        return float(np.maximum(t1, np.maximum(t2, t3)).sum())
+
+    def g(x):
+        t1, t2, t3 = _ref_cb3_terms(x)
+        which = np.argmax(np.vstack([t1, t2, t3]), axis=0)
+        out = np.zeros_like(x)
+        e3 = 2.0 * np.exp(x[1:] - x[:-1])
+        gi = np.where(which == 0, 4.0 * x[:-1] ** 3,
+                      np.where(which == 1, -2.0 * (2.0 - x[:-1]), -e3))
+        gj = np.where(which == 0, 2.0 * x[1:],
+                      np.where(which == 1, -2.0 * (2.0 - x[1:]), e3))
+        out[:-1] += gi
+        out[1:] += gj
+        return out
+
+    return f, g
+
+
+def _ref_chained_cb3_2():
+    def f(x):
+        t1, t2, t3 = _ref_cb3_terms(x)
+        return float(max(t1.sum(), t2.sum(), t3.sum()))
+
+    def g(x):
+        t1, t2, t3 = _ref_cb3_terms(x)
+        which = int(np.argmax([t1.sum(), t2.sum(), t3.sum()]))
+        out = np.zeros_like(x)
+        if which == 0:
+            out[:-1] += 4.0 * x[:-1] ** 3
+            out[1:] += 2.0 * x[1:]
+        elif which == 1:
+            out[:-1] += -2.0 * (2.0 - x[:-1])
+            out[1:] += -2.0 * (2.0 - x[1:])
+        else:
+            e3 = 2.0 * np.exp(x[1:] - x[:-1])
+            out[:-1] -= e3
+            out[1:] += e3
+        return out
+
+    return f, g
+
+
+def _ref_ql():
+    def pieces(x):
+        f1 = x[0] ** 2 + x[1] ** 2
+        f2 = f1 + 10.0 * (-4.0 * x[0] - x[1] + 4.0)
+        f3 = f1 + 10.0 * (-x[0] - 2.0 * x[1] + 6.0)
+        return f1, f2, f3
+
+    def f(x):
+        return float(max(pieces(x)))
+
+    def g(x):
+        which = int(np.argmax(pieces(x)))
+        out = 2.0 * x.copy()
+        if which == 1:
+            out += np.array([-40.0, -10.0])
+        elif which == 2:
+            out += np.array([-10.0, -20.0])
+        return out
+
+    return f, g
+
+
+def _ref_mifflin1():
+    def f(x):
+        return float(-x[0] + 20.0 * max(x[0] ** 2 + x[1] ** 2 - 1.0, 0.0))
+
+    def g(x):
+        out = np.array([-1.0, 0.0])
+        if x[0] ** 2 + x[1] ** 2 - 1.0 >= 0.0:
+            out += 40.0 * x
+        return out
+
+    return f, g
+
+
+def _ref_rosen():
+    def pieces(x):
+        x1, x2, x3, x4 = x
+        f1 = x1 ** 2 + x2 ** 2 + 2.0 * x3 ** 2 + x4 ** 2 - 5.0 * x1 - 5.0 * x2 - 21.0 * x3 + 7.0 * x4
+        g1 = x1 ** 2 + x2 ** 2 + x3 ** 2 + x4 ** 2 + x1 - x2 + x3 - x4 - 8.0
+        g2 = x1 ** 2 + 2.0 * x2 ** 2 + x3 ** 2 + 2.0 * x4 ** 2 - x1 - x4 - 10.0
+        g3 = x1 ** 2 + x2 ** 2 + x3 ** 2 + 2.0 * x1 - x2 - x4 - 5.0
+        return f1, g1, g2, g3
+
+    def f(x):
+        f1, g1, g2, g3 = pieces(x)
+        return float(max(f1, f1 + 10.0 * g1, f1 + 10.0 * g2, f1 + 10.0 * g3))
+
+    def g(x):
+        f1, g1, g2, g3 = pieces(x)
+        which = int(np.argmax([f1, f1 + 10.0 * g1, f1 + 10.0 * g2, f1 + 10.0 * g3]))
+        x1, x2, x3, x4 = x
+        out = np.array([2.0 * x1 - 5.0, 2.0 * x2 - 5.0, 4.0 * x3 - 21.0, 2.0 * x4 + 7.0])
+        if which == 1:
+            out += 10.0 * np.array([2.0 * x1 + 1.0, 2.0 * x2 - 1.0, 2.0 * x3 + 1.0, 2.0 * x4 - 1.0])
+        elif which == 2:
+            out += 10.0 * np.array([2.0 * x1 - 1.0, 4.0 * x2, 2.0 * x3, 4.0 * x4 - 1.0])
+        elif which == 3:
+            out += 10.0 * np.array([2.0 * x1 + 2.0, 2.0 * x2 - 1.0, 2.0 * x3, -1.0])
+        return out
+
+    return f, g
+
+
+_REFERENCE_BODIES = {
+    "ChainedLQ": _ref_chained_lq,
+    "ChainedCB3I": _ref_chained_cb3_1,
+    "ChainedCB3II": _ref_chained_cb3_2,
+    "QL": _ref_ql,
+    "Mifflin1": _ref_mifflin1,
+    "Rosen": _ref_rosen,
+}
+
+
+def reference_problem(name: str, n: int | None = None) -> ObjectiveOracle:
+    """`make_problem(name, n)` with the reference `eval_f` and `eval_grad`.
+
+    The problems without an entry in `_REFERENCE_BODIES` still have their
+    original bodies, so the registry's own oracle is their reference.
+    """
+    oracle = make_problem(name, n)
+    bodies = _REFERENCE_BODIES.get(oracle.name)
+    if bodies is None:
+        return oracle
+    eval_f, eval_grad = bodies()
+    return replace(oracle, eval_f=eval_f, eval_grad=eval_grad)

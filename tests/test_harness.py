@@ -136,6 +136,13 @@ def test_emit_report_json_roundtrip(tmp_path):
            ("gs", "Rosen", 4, 3, 7, 63, 0.25, 2e-3, False)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-8], ids=["zero", "negative"])
+def test_fd_step_must_be_positive(h):
+    # a zero step used to run exact gradients, a negative one to crash late
+    with pytest.raises(ValueError, match="fd_step"):
+        ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8, fd_step=h)
+
+
 def test_emit_report_empty():
     with pytest.raises(ValueError):
         emit_report([], "nowhere.csv")
@@ -201,6 +208,11 @@ class TestCli:
 
     def test_missing_args(self, capsys):
         assert cli.main([]) == 2
+
+    def test_zero_fd_step_is_refused(self, capsys):
+        code = cli.main(["--solver", "bgs", "--problem", "ChainedLQ", "--n", "8", "--fd", "0"])
+        assert code == 2
+        assert "fd_step" in capsys.readouterr().err
 
     def test_full_run(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

@@ -1,5 +1,7 @@
 """Benchmark oracle checks: optimal values, convexity, gradient consistency."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bundlegs.problems import (
     gradient,
     make_problem,
 )
+from helpers import reference_problem
 
 SCALABLE = ["TiltedNorm", "MXHILB", "ChainedLQ", "ChainedCB3I", "ChainedCB3II",
             "MAXQ-gen", "MAXL-gen", "PartlySmooth"]
@@ -242,3 +245,153 @@ def test_finite_gradient_with_overflowing_sum_accepted(mode):
     g = gradient(_oracle_with_gradient(want), mode, np.zeros(3))
     assert np.all(np.isfinite(g))
     np.testing.assert_allclose(g, want, rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# byte equality with the reference bodies
+# ---------------------------------------------------------------------------
+
+
+# points where pieces of Rosen and QL tie exactly, with the gradient of the
+# lowest-numbered tied piece
+ROSEN_TIES = [
+    ([0.0, 1.0, 2.0, -1.0], [-5.0, -3.0, -13.0, 5.0]),  # pieces 1, 2, 4 tie: 1
+    ([0.0, 0.0, 2.0, -2.0], [5.0, -15.0, 37.0, -47.0]),  # pieces 2, 3 tie: 2
+    ([1.0, 2.0, 2.0, -1.0], [7.0, 79.0, 27.0, -45.0]),  # pieces 3, 4 tie: 3
+]
+QL_TIES = [
+    ([0.25, 3.0], [0.5, 6.0]),  # pieces 1, 2 tie: 1
+    ([2.0, 2.0], [4.0, 4.0]),  # pieces 1, 3 tie: 1
+    ([0.0, 2.0], [-40.0, -6.0]),  # pieces 2, 3 tie: 2
+]
+
+
+def _cb3_pair_pieces(a, b):
+    x = np.array([a, b])
+    return ((x[:-1] ** 4 + x[1:] ** 2)[0], ((2.0 - x[:-1]) ** 2 + (2.0 - x[1:]) ** 2)[0],
+            (2.0 * np.exp(x[1:] - x[:-1]))[0])
+
+
+def _cb3_tie_of_pieces_2_and_3():
+    # a pair (a, b) with t2 == t3 > t1 in floating point: bisect t2 - t3 over
+    # b, then look at the floats around the crossing
+    for a in np.linspace(-0.5, 0.5, 41).tolist():
+        def gap(b):
+            _, t2, t3 = _cb3_pair_pieces(a, b)
+            return t2 - t3
+        lo, hi = a - 3.0, 2.0  # gap > 0 at lo and < 0 at hi
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        for b in (lo + k * math.ulp(lo) for k in range(-20, 21)):
+            t1, t2, t3 = _cb3_pair_pieces(a, b)
+            if t2 == t3 > t1:
+                return a, b
+    raise AssertionError("no exact tie of pieces 2 and 3 found")
+
+
+def _sizes():
+    for name in SCALABLE:
+        for n in (2, 10, 50, 500):
+            yield name, n
+    for name in FIXED:
+        yield name, None
+
+
+def _guard_points(oracle):
+    n = oracle.dimension
+    rng = np.random.default_rng(41)
+    points = [oracle.x0, MINIMIZERS[oracle.name](n)]
+    for scale in 10.0 ** np.arange(-9, 4):
+        for _ in range(20):
+            points.append(scale * rng.standard_normal(n))
+            points.append(oracle.x0 + scale * rng.standard_normal(n))
+    # ties: equal neighbours (all CB3 pieces tie at ones), and pairs on LQ's
+    # unit circle
+    for c in (1.0, -1.0, 0.0, -0.0, 2.0, 3.0, 0.5):
+        points.append(np.full(n, c))
+    points.append(np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n])
+    for pair in ([1.0, 0.0], [0.0, -1.0], [0.6, 0.8]):
+        points.append(np.resize(pair, n))
+    # gradient entries of -0.0: CB3's second piece at x_i = 2, its first
+    # piece at x_{i+1} = -0.0, Mifflin1's outer piece at x_2 = -0.0
+    for pair in ([2.0, -4.0], [-3.0, -0.0], [2.0, -0.0]):
+        points.append(np.resize(pair, n))
+    # the exact ties of the tie-rule tests
+    points.append(np.resize([1.5, -0.203125], n))
+    points.append(np.resize(_cb3_tie_of_pieces_2_and_3(), n))
+    ties = {"Rosen": ROSEN_TIES, "QL": QL_TIES}.get(oracle.name, [])
+    points.extend(np.array(x) for x, _ in ties)
+    return points
+
+
+def _overflow_points(n):
+    rng = np.random.default_rng(43)
+    points = [np.full(n, 1e80), np.full(n, -1e80), np.resize([1e80, -1e80], n),
+              np.resize([1e307, 1.0], n)]  # QL's second and third pieces are NaN
+    for scale in (1e80, 1e160, 1e307):
+        points.extend(scale * rng.standard_normal(n) for _ in range(10))
+    return points
+
+
+def _same_value(a, b):
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _grad_or_error(oracle, x):
+    try:
+        return oracle.grad(x)
+    except EvaluationError:
+        return None
+
+
+@pytest.mark.parametrize("name,n", list(_sizes()), ids=lambda v: str(v))
+def test_bodies_byte_equal_to_reference(name, n):
+    new, ref = make_problem(name, n), reference_problem(name, n)
+    # CB3's exp overflows at the large seeded points too; both bodies warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _guard_points(new):
+            assert _same_value(new.eval_f(x), ref.eval_f(x)), x
+            assert _same_array(new.eval_grad(x), ref.eval_grad(x)), x
+        # overflow: both oracles refuse the gradient, or both bodies agree
+        # byte for byte
+        for x in _overflow_points(new.dimension):
+            assert _same_value(new.eval_f(x), ref.eval_f(x)), x
+            g_new, g_ref = _grad_or_error(new, x), _grad_or_error(ref, x)
+            assert (g_new is None) == (g_ref is None), x
+            assert _same_array(new.eval_grad(x), ref.eval_grad(x)), x
+
+
+# ---------------------------------------------------------------------------
+# tie rule: where pieces tie, the lowest-numbered piece gives the gradient
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["ChainedCB3I", "ChainedCB3II"])
+def test_cb3_ties_take_the_lowest_piece(name):
+    # at ones all three pieces of every pair equal 2: piece 1 for all pairs
+    g = make_problem(name, 6).grad(np.ones(6))
+    np.testing.assert_array_equal(g, [4.0, 6.0, 6.0, 6.0, 6.0, 2.0])
+    # t1 == t2 == 5.103759765625 > t3 exactly: piece 1, (4 a^3, 2 b)
+    oracle = make_problem(name, 2)
+    t1, t2, t3 = _cb3_pair_pieces(1.5, -0.203125)
+    assert t1 == t2 > t3
+    np.testing.assert_array_equal(oracle.grad(np.array([1.5, -0.203125])), [13.5, -0.40625])
+    # t2 == t3 > t1: piece 2, (-2 (2 - a), -2 (2 - b))
+    a, b = _cb3_tie_of_pieces_2_and_3()
+    np.testing.assert_array_equal(oracle.grad(np.array([a, b])),
+                                  [-2.0 * (2.0 - a), -2.0 * (2.0 - b)])
+
+
+@pytest.mark.parametrize("x,want", ROSEN_TIES, ids=["1-2-4", "2-3", "3-4"])
+def test_rosen_ties_take_the_lowest_piece(x, want):
+    np.testing.assert_array_equal(make_problem("Rosen").grad(np.array(x)), want)
+
+
+@pytest.mark.parametrize("x,want", QL_TIES, ids=["1-2", "1-3", "2-3"])
+def test_ql_ties_take_the_lowest_piece(x, want):
+    np.testing.assert_array_equal(make_problem("QL").grad(np.array(x)), want)
