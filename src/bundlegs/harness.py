@@ -53,8 +53,11 @@ class ExperimentSpec:
             raise ValueError("stop_rel_err must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.fd_step is not None and not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step!r}")
+        if self.fd_step is not None:
+            try:
+                GradientMode.forward(self.fd_step)
+            except ValueError as exc:
+                raise ValueError(f"fd_step={self.fd_step!r}: {exc}") from None
 
 
 @dataclass
@@ -96,7 +99,7 @@ def _single_run(spec: ExperimentSpec, oracle: ObjectiveOracle, seed: int,
                 tol: float) -> tuple[RunReport, object]:
     n = oracle.dimension
     start = perturb_start(oracle.x0, n, np.random.default_rng([seed, 1]))
-    mode = GradientMode.exact() if spec.fd_step is None else GradientMode.forward(spec.fd_step)
+    mode = GradientMode.forward(spec.fd_step) if spec.fd_step else GradientMode.exact()
 
     e_start = relative_error(oracle.f(start), oracle.f_star)
     if e_start <= tol:

@@ -11,10 +11,10 @@ nondifferentiability have measure zero and are never hit by the samplers
 with probability 1.
 
 The bodies are written for speed: every sub-expression is computed once,
-the active piece is picked by comparisons, and Rosen, QL and Mifflin1 work
-on Python floats.  Their outputs are pinned byte for byte, including
-the sign of zero, to the plain bodies kept in `tests/helpers.py`, because
-the solvers' gradient counts react to the last bit of a gradient.
+the active piece is picked by comparisons, and Rosen works on Python
+floats.  Their outputs are pinned byte for byte, including the sign of
+zero, to the plain bodies kept in `tests/helpers.py`, because the solvers'
+gradient counts react to the last bit of a gradient.
 """
 
 from __future__ import annotations
@@ -329,70 +329,44 @@ def _partly_smooth(n: int) -> ObjectiveOracle:
     return ObjectiveOracle("PartlySmooth", n, 0.0, np.ones(n), f, g, smooth)
 
 
-def _square(v: float) -> float:
-    # v ** 2 by the C library's pow, which numpy also uses on a scalar (an
-    # array's square is a product, which can differ in the last bit); where
-    # Python raises on overflow, numpy's scalar gives inf
-    try:
-        return v ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _first_max(vals) -> int:
-    # np.argmax's rule: the first NaN, else the first of the largest values
-    k = 0
-    for i, v in enumerate(vals):
-        if v != v:
-            return i
-        if v > vals[k]:
-            k = i
-    return k
-
-
 def _ql(n: int) -> ObjectiveOracle:
-    def pieces(x1, x2):
-        f1 = _square(x1) + _square(x2)
-        f2 = f1 + 10.0 * (-4.0 * x1 - x2 + 4.0)
-        f3 = f1 + 10.0 * (-x1 - 2.0 * x2 + 6.0)
+    def pieces(x):
+        f1 = x[0] ** 2 + x[1] ** 2
+        f2 = f1 + 10.0 * (-4.0 * x[0] - x[1] + 4.0)
+        f3 = f1 + 10.0 * (-x[0] - 2.0 * x[1] + 6.0)
         return f1, f2, f3
 
     def f(x):
-        return max(pieces(*x.tolist()))
+        return float(max(pieces(x)))
 
     def g(x):
-        x1, x2 = x.tolist()
-        which = _first_max(pieces(x1, x2))
+        which = int(np.argmax(pieces(x)))
+        out = 2.0 * x.copy()
         if which == 1:
-            return np.array([2.0 * x1 - 40.0, 2.0 * x2 - 10.0])
-        if which == 2:
-            return np.array([2.0 * x1 - 10.0, 2.0 * x2 - 20.0])
-        return 2.0 * x
+            out += np.array([-40.0, -10.0])
+        elif which == 2:
+            out += np.array([-10.0, -20.0])
+        return out
 
     def smooth(x):
-        vals = sorted(pieces(*x.tolist()))
+        vals = np.sort(pieces(x))
         return bool(vals[2] - vals[1] > 1e-10 * (1.0 + abs(vals[2])))
 
     return ObjectiveOracle("QL", 2, 7.2, np.array([-1.0, 5.0]), f, g, smooth)
 
 
 def _mifflin1(n: int) -> ObjectiveOracle:
-    def circle(x1, x2):
-        return _square(x1) + _square(x2) - 1.0
-
     def f(x):
-        x1, x2 = x.tolist()
-        return -x1 + 20.0 * max(circle(x1, x2), 0.0)
+        return float(-x[0] + 20.0 * max(x[0] ** 2 + x[1] ** 2 - 1.0, 0.0))
 
     def g(x):
-        x1, x2 = x.tolist()
-        if circle(x1, x2) >= 0.0:
-            # 0.0 + turns a -0.0 into +0.0, as adding to a zero array does
-            return np.array([-1.0 + 40.0 * x1, 0.0 + 40.0 * x2])
-        return np.array([-1.0, 0.0])
+        out = np.array([-1.0, 0.0])
+        if x[0] ** 2 + x[1] ** 2 - 1.0 >= 0.0:
+            out += 40.0 * x
+        return out
 
     def smooth(x):
-        return bool(abs(circle(*x.tolist())) > 1e-10)
+        return bool(abs(x[0] ** 2 + x[1] ** 2 - 1.0) > 1e-10)
 
     return ObjectiveOracle("Mifflin1", 2, -1.0, np.array([0.8, 0.6]), f, g, smooth)
 
@@ -415,6 +389,27 @@ def _goffin(n: int) -> ObjectiveOracle:
 
     x0 = np.arange(1.0, n + 1.0) - (n + 1.0) / 2.0
     return ObjectiveOracle("Goffin", n, 0.0, x0, f, g, smooth)
+
+
+def _square(v: float) -> float:
+    # v ** 2 by the C library's pow, which numpy also uses on a scalar (an
+    # array's square is a product, which can differ in the last bit); where
+    # Python raises on overflow, numpy's scalar gives inf
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _first_max(vals) -> int:
+    # np.argmax's rule for non-NaN values: the first of the largest.  A NaN
+    # piece of Rosen needs a non-finite f1, where the gradient is non-finite
+    # whichever piece gives it, and the oracle refuses it
+    k = 0
+    for i, v in enumerate(vals):
+        if v > vals[k]:
+            k = i
+    return k
 
 
 def _rosen(n: int) -> ObjectiveOracle:

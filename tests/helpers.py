@@ -286,7 +286,7 @@ def reference_solve_simplex_qp(
 # ---------------------------------------------------------------------------
 # Verbatim copies of the `eval_f` / `eval_grad` bodies of the problems whose
 # bodies were rewritten for speed, as they stood before: numpy scalars for
-# the fixed-dimension problems, `vstack` + `argmax` for the CB3 pair pieces.
+# Rosen, `vstack` + `argmax` for the CB3 pair pieces.
 # `bundlegs.problems` must reproduce them byte for byte, including the sign
 # of zero and argmax's first-index tie rule, because the solvers' counts
 # react to the last bit of a gradient.
@@ -360,41 +360,6 @@ def _ref_chained_cb3_2():
     return f, g
 
 
-def _ref_ql():
-    def pieces(x):
-        f1 = x[0] ** 2 + x[1] ** 2
-        f2 = f1 + 10.0 * (-4.0 * x[0] - x[1] + 4.0)
-        f3 = f1 + 10.0 * (-x[0] - 2.0 * x[1] + 6.0)
-        return f1, f2, f3
-
-    def f(x):
-        return float(max(pieces(x)))
-
-    def g(x):
-        which = int(np.argmax(pieces(x)))
-        out = 2.0 * x.copy()
-        if which == 1:
-            out += np.array([-40.0, -10.0])
-        elif which == 2:
-            out += np.array([-10.0, -20.0])
-        return out
-
-    return f, g
-
-
-def _ref_mifflin1():
-    def f(x):
-        return float(-x[0] + 20.0 * max(x[0] ** 2 + x[1] ** 2 - 1.0, 0.0))
-
-    def g(x):
-        out = np.array([-1.0, 0.0])
-        if x[0] ** 2 + x[1] ** 2 - 1.0 >= 0.0:
-            out += 40.0 * x
-        return out
-
-    return f, g
-
-
 def _ref_rosen():
     def pieces(x):
         x1, x2, x3, x4 = x
@@ -428,8 +393,6 @@ _REFERENCE_BODIES = {
     "ChainedLQ": _ref_chained_lq,
     "ChainedCB3I": _ref_chained_cb3_1,
     "ChainedCB3II": _ref_chained_cb3_2,
-    "QL": _ref_ql,
-    "Mifflin1": _ref_mifflin1,
     "Rosen": _ref_rosen,
 }
 
