@@ -6,8 +6,10 @@ import argparse
 import json
 import sys
 
+from .bgs import SolverConfig
+from .gs import GsConfig
 from .harness import ExperimentSpec, load_config_file, run_experiment
-from .problems import catalog
+from .problems import catalog, make_problem
 
 _SOLVER_KEYS_BGS = ("m", "eps0", "mu", "alpha", "gamma", "beta", "theta", "sigma")
 _SOLVER_KEYS_GS = ("eps0",)
@@ -89,6 +91,10 @@ def main(argv: list[str] | None = None) -> int:
             fd_step=float(opts["fd"]) if "fd" in opts else None,
             trace_path=opts.get("trace"),
         )
+        # what the spec leaves to run_experiment: the problem, its
+        # dimension and the solver options
+        make_problem(spec.problem, spec.n)
+        (SolverConfig if solver == "bgs" else GsConfig)(**solver_options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

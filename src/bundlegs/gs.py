@@ -9,6 +9,11 @@ normalized steepest-descent direction.  The radius shrinks when the hull
 point is nearly zero or the line search fails.  Used as the
 gradient-evaluation-count comparison baseline; its line-search constants are
 conventional choices and are all config-exposed.
+
+With exact gradients the sampled points are evaluated as one block by
+`ObjectiveOracle.grad_rows`, which still makes one `eval_grad` call per point
+but checks the block for non-finite entries once; forward differences run
+`gradient` point by point.
 """
 
 from __future__ import annotations
@@ -97,12 +102,16 @@ def gs_run(
             stop_reason = "radius_floor"
             break
         iters += 1
-        grads = [gradient(oracle, mode, x)]
-        for s in sample_ball(x, eps, sample_size, rng):
-            grads.append(gradient(oracle, mode, s))
+        g_x = gradient(oracle, mode, x)
+        points = sample_ball(x, eps, sample_size, rng)
+        if mode.kind == "exact":
+            sampled = oracle.grad_rows(points)
+        else:
+            sampled = [gradient(oracle, mode, p) for p in points]
+        grads = np.vstack((g_x, sampled))
         g_evals += sample_size + 1
 
-        sol = min_norm_point(np.array(grads))
+        sol = min_norm_point(grads)
         if not sol.converged:
             raise QpFailureError(f"hull QP of {len(grads)} gradients did not converge in "
                                  f"{sol.iterations} pivots (KKT residual {sol.kkt_residual:.3e})")

@@ -11,10 +11,11 @@ nondifferentiability have measure zero and are never hit by the samplers
 with probability 1.
 
 The bodies are written for speed: every sub-expression is computed once,
-the active piece is picked by comparisons, and Rosen works on Python
-floats.  Their outputs are pinned byte for byte, including the sign of
-zero, to the plain bodies kept in `tests/helpers.py`, because the solvers'
-gradient counts react to the last bit of a gradient.
+the active piece is picked by comparisons, Rosen works on Python floats,
+and the 2-norms skip `np.linalg.norm`'s dispatch.  Their outputs are pinned
+byte for byte, including the sign of zero, to the plain bodies kept in
+`tests/helpers.py`, because the solvers' gradient counts react to the last
+bit of a gradient.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ class ObjectiveOracle:
         eval_grad: maps an n-vector to the gradient (a subgradient at kinks).
         smooth_at: optional predicate that is True away from the kink set;
             used only when differentiability checks are enabled.
+
+    `grad` evaluates one point and `grad_rows` a block of points, one
+    `eval_grad` call per row in both, so a wrapper around `eval_grad` counts
+    every gradient the solvers use.
     """
 
     name: str
@@ -88,6 +93,28 @@ class ObjectiveOracle:
         if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x!r}")
         return g
+
+    def grad_rows(self, X: np.ndarray) -> np.ndarray:
+        """Gradients at the rows of X as an (m, n) array, row i byte-equal to grad(X[i]).
+
+        One finite check covers the whole block, so a non-finite row is
+        reported only after every row has been evaluated.
+        """
+        X = np.asarray(X, dtype=float)
+        G = np.empty((len(X), self.dimension))
+        eval_grad = self.eval_grad
+        for i, x in enumerate(X):
+            G[i] = eval_grad(x)
+        # one sum proves the block finite, as in grad; numpy's warnings about
+        # a sum that overflows or meets inf and -inf say nothing the
+        # elementwise test does not
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = math.isfinite(G.sum())
+        if not (finite or np.isfinite(G).all()):
+            i = int(np.flatnonzero(~np.isfinite(G).all(axis=1))[0])
+            raise EvaluationError(f"{self.name}: non-finite gradient at row {i} of a block "
+                                  f"of {len(X)} points, x={X[i]!r}")
+        return G
 
     def differentiable_at(self, x: np.ndarray) -> bool:
         if self.smooth_at is not None:
@@ -125,15 +152,23 @@ def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm(v) of a 1-D float array without its dispatch: the same
+    # ravel (a copy only for a strided v, whose dot BLAS would sum in another
+    # order) and the same dot, and math.sqrt, which rounds as np.sqrt does
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _tilted_norm(n: int) -> ObjectiveOracle:
     # f(x) = 4 ||x|| + 3 x_1;  sharp minimum 0 at the origin.
     w = 4.0
 
     def f(x):
-        return w * np.linalg.norm(x) + (w - 1.0) * x[0]
+        return w * _norm(x) + (w - 1.0) * x[0]
 
     def g(x):
-        nrm = np.linalg.norm(x)
+        nrm = _norm(x)
         out = np.zeros_like(x) if nrm == 0.0 else w * x / nrm
         out[0] += w - 1.0
         return out
@@ -314,11 +349,11 @@ def _partly_smooth(n: int) -> ObjectiveOracle:
     h = (n + 1) // 2
 
     def f(x):
-        return float(np.linalg.norm(x[:h]) + (x[h:] ** 2).sum())
+        return float(_norm(x[:h]) + (x[h:] ** 2).sum())
 
     def g(x):
         out = np.empty_like(x)
-        nrm = np.linalg.norm(x[:h])
+        nrm = _norm(x[:h])
         out[:h] = 0.0 if nrm == 0.0 else x[:h] / nrm
         out[h:] = 2.0 * x[h:]
         return out

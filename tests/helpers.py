@@ -286,7 +286,8 @@ def reference_solve_simplex_qp(
 # ---------------------------------------------------------------------------
 # Verbatim copies of the `eval_f` / `eval_grad` bodies of the problems whose
 # bodies were rewritten for speed, as they stood before: numpy scalars for
-# Rosen, `vstack` + `argmax` for the CB3 pair pieces.
+# Rosen, `vstack` + `argmax` for the CB3 pair pieces, `np.linalg.norm` for
+# TiltedNorm and PartlySmooth.
 # `bundlegs.problems` must reproduce them byte for byte, including the sign
 # of zero and argmax's first-index tie rule, because the solvers' counts
 # react to the last bit of a gradient.
@@ -299,7 +300,7 @@ def _ref_cb3_terms(x: np.ndarray):
     return t1, t2, t3
 
 
-def _ref_chained_lq():
+def _ref_chained_lq(n):
     def f(x):
         a = -x[:-1] - x[1:]
         b = a + (x[:-1] ** 2 + x[1:] ** 2 - 1.0)
@@ -315,7 +316,7 @@ def _ref_chained_lq():
     return f, g
 
 
-def _ref_chained_cb3_1():
+def _ref_chained_cb3_1(n):
     def f(x):
         t1, t2, t3 = _ref_cb3_terms(x)
         return float(np.maximum(t1, np.maximum(t2, t3)).sum())
@@ -336,7 +337,7 @@ def _ref_chained_cb3_1():
     return f, g
 
 
-def _ref_chained_cb3_2():
+def _ref_chained_cb3_2(n):
     def f(x):
         t1, t2, t3 = _ref_cb3_terms(x)
         return float(max(t1.sum(), t2.sum(), t3.sum()))
@@ -360,7 +361,7 @@ def _ref_chained_cb3_2():
     return f, g
 
 
-def _ref_rosen():
+def _ref_rosen(n):
     def pieces(x):
         x1, x2, x3, x4 = x
         f1 = x1 ** 2 + x2 ** 2 + 2.0 * x3 ** 2 + x4 ** 2 - 5.0 * x1 - 5.0 * x2 - 21.0 * x3 + 7.0 * x4
@@ -389,10 +390,43 @@ def _ref_rosen():
     return f, g
 
 
+def _ref_tilted_norm(n):
+    w = 4.0
+
+    def f(x):
+        return w * np.linalg.norm(x) + (w - 1.0) * x[0]
+
+    def g(x):
+        nrm = np.linalg.norm(x)
+        out = np.zeros_like(x) if nrm == 0.0 else w * x / nrm
+        out[0] += w - 1.0
+        return out
+
+    return f, g
+
+
+def _ref_partly_smooth(n):
+    h = (n + 1) // 2
+
+    def f(x):
+        return float(np.linalg.norm(x[:h]) + (x[h:] ** 2).sum())
+
+    def g(x):
+        out = np.empty_like(x)
+        nrm = np.linalg.norm(x[:h])
+        out[:h] = 0.0 if nrm == 0.0 else x[:h] / nrm
+        out[h:] = 2.0 * x[h:]
+        return out
+
+    return f, g
+
+
 _REFERENCE_BODIES = {
+    "TiltedNorm": _ref_tilted_norm,
     "ChainedLQ": _ref_chained_lq,
     "ChainedCB3I": _ref_chained_cb3_1,
     "ChainedCB3II": _ref_chained_cb3_2,
+    "PartlySmooth": _ref_partly_smooth,
     "Rosen": _ref_rosen,
 }
 
@@ -407,5 +441,5 @@ def reference_problem(name: str, n: int | None = None) -> ObjectiveOracle:
     bodies = _REFERENCE_BODIES.get(oracle.name)
     if bodies is None:
         return oracle
-    eval_f, eval_grad = bodies()
+    eval_f, eval_grad = bodies(oracle.dimension)
     return replace(oracle, eval_f=eval_f, eval_grad=eval_grad)

@@ -1,5 +1,7 @@
 """Gradient-sampling baseline: hull geometry, descent, accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import huge_gradient_oracle, quadratic_oracle
@@ -7,7 +9,7 @@ from helpers import huge_gradient_oracle, quadratic_oracle
 from bundlegs import gs, harness, qp
 from bundlegs.gs import GsConfig, gs_run
 from bundlegs.harness import ExperimentSpec
-from bundlegs.problems import make_problem
+from bundlegs.problems import EvaluationError, GradientMode, make_problem
 from bundlegs.qp import QpFailureError, SimplexQpInstance, solve_simplex_qp
 
 
@@ -46,6 +48,44 @@ def test_descent_and_accounting():
         assert rec.f_val <= f_prev + 1e-15
         f_prev = rec.f_val
         assert rec.grad_evals_cum == (rec.k + 1) * (sample + 1)
+
+
+def _counting(oracle, bad_call=None):
+    """`oracle` with its `eval_grad` calls counted; call number `bad_call` gives NaN."""
+    calls = [0]
+
+    def eval_grad(x):
+        calls[0] += 1
+        g = oracle.eval_grad(x)
+        return np.full_like(g, np.nan) if calls[0] == bad_call else g
+
+    return replace(oracle, eval_grad=eval_grad), calls
+
+
+def test_grad_evals_equal_the_oracle_side_count():
+    # the benchmark's check: every counted gradient is one eval_grad call
+    oracle, calls = _counting(make_problem("ChainedLQ", 8))
+    res = gs_run(oracle, GsConfig(seed=3, max_iters=40))
+    assert res.grad_evals == calls[0] == 40 * 17
+    # forward differences evaluate f only
+    oracle, calls = _counting(make_problem("ChainedLQ", 8))
+    res = gs_run(oracle, GsConfig(seed=3, max_iters=5), grad_mode=GradientMode.forward(1e-8))
+    assert calls[0] == 0 and res.grad_evals == 5 * 17
+
+
+def test_non_finite_sampled_gradient_aborts_the_run():
+    # call 1 is the gradient at x_k, calls 2-17 the sampled block
+    oracle, calls = _counting(make_problem("ChainedLQ", 8), bad_call=5)
+    with pytest.raises(EvaluationError, match="non-finite gradient at row 3 of a block of 16"):
+        gs_run(oracle, GsConfig(seed=0))
+    assert calls[0] == 17
+    oracle, _ = _counting(make_problem("ChainedLQ", 8), bad_call=5)
+    spec = ExperimentSpec(solver="gs", problem="ChainedLQ", n=8, replications=1,
+                          measure_time=False)
+    report, result = harness._single_run(spec, oracle, 0, 5e-4)
+    assert result is None
+    assert report.stop_reason.startswith("abort: ChainedLQ: non-finite gradient at row 3")
+    assert not report.converged and report.g_eval == 0
 
 
 def test_radius_shrinks_on_failure_or_stationarity():

@@ -214,6 +214,18 @@ class TestCli:
         assert code == 2
         assert "fd_step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--solver", "bgs", "--problem", "nosuch", "--n", "5"],
+        ["--solver", "bgs", "--problem", "QL", "--n", "5"],
+        ["--solver", "gs", "--problem", "QL", "--m", "0"],
+    ], ids=["unknown-problem", "fixed-dimension", "zero-sample-size"])
+    def test_bad_problem_or_solver_option_is_refused(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_full_run(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = cli.main(["--solver", "bgs", "--problem", "ChainedLQ", "--n", "8",

@@ -1,6 +1,7 @@
 """Benchmark oracle checks: optimal values, convexity, gradient consistency."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,6 +366,84 @@ def test_bodies_byte_equal_to_reference(name, n):
             assert (g_new is None) == (g_ref is None), x
             if g_ref is not None:
                 assert _same_array(g_new, g_ref), x
+
+
+@pytest.mark.parametrize("name", ["TiltedNorm", "PartlySmooth"])
+def test_norm_bodies_byte_equal_on_strided_points(name):
+    # a strided x is copied before its dot, as np.linalg.norm does; BLAS sums
+    # a strided dot in another order
+    new, ref = make_problem(name, 50), reference_problem(name, 50)
+    rng = np.random.default_rng(47)
+    for scale in 10.0 ** np.arange(-9, 4):
+        cols = scale * rng.standard_normal((50, 3))
+        x = cols[:, 1]
+        assert _same_value(new.eval_f(x), ref.eval_f(x)), x
+        assert _same_array(new.eval_grad(x), ref.eval_grad(x)), x
+
+
+# ---------------------------------------------------------------------------
+# gradient blocks: grad_rows is grad, row by row
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,n", list(_sizes()), ids=lambda v: str(v))
+def test_grad_rows_byte_equal_to_grad(name, n):
+    oracle = make_problem(name, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        accepted, refused = [], []
+        for x in _guard_points(oracle):
+            (accepted if _grad_or_error(oracle, x) is not None else refused).append(x)
+        G = oracle.grad_rows(np.array(accepted))
+        assert G.shape == (len(accepted), oracle.dimension)
+        for x, row in zip(accepted, G):
+            assert _same_array(row, oracle.grad(x)), x
+        # a point whose gradient grad refuses fails its whole block
+        for x in refused:
+            with pytest.raises(EvaluationError, match="non-finite gradient at row 1"):
+                oracle.grad_rows(np.array([oracle.x0, x]))
+
+
+def test_grad_rows_calls_eval_grad_once_per_row():
+    oracle = make_problem("ChainedCB3I", 10)
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return oracle.eval_grad(x)
+
+    X = np.random.default_rng(5).standard_normal((21, 10))
+    G = replace(oracle, eval_grad=counted).grad_rows(X)
+    assert len(calls) == 21
+    np.testing.assert_array_equal(np.array(calls), X)
+    assert _same_array(G, np.array([oracle.grad(x) for x in X]))
+
+
+def _identity_gradient_oracle(n):
+    # the gradient at x is x itself, so a block's gradients are its points
+    return ObjectiveOracle(name="identity", dimension=n, f_star=0.0, x0=np.zeros(n),
+                           eval_f=lambda x: 0.5 * float(x @ x), eval_grad=lambda x: x.copy())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_grad_rows_non_finite_row_raises(bad):
+    X = np.ones((5, 3))
+    X[3, 1] = bad
+    with pytest.raises(EvaluationError, match=r"identity: non-finite gradient at row 3 of a block of 5"):
+        _identity_gradient_oracle(3).grad_rows(X)
+
+
+def test_grad_rows_inf_and_minus_inf_rows_raise():
+    # their sum is NaN; no warning escapes the check
+    X = np.array([[1.0, np.inf], [1.0, -np.inf]])
+    with pytest.raises(EvaluationError, match="at row 0"):
+        _identity_gradient_oracle(2).grad_rows(X)
+
+
+def test_grad_rows_finite_block_with_overflowing_sum_accepted():
+    # every entry is finite, only the block's sum overflows
+    X = np.array([[1e308, 1e308], [1e308, -1e308], [1e308, 0.0]])
+    G = _identity_gradient_oracle(2).grad_rows(X)
+    assert _same_array(G, X)
 
 
 # ---------------------------------------------------------------------------
