@@ -10,12 +10,15 @@ or gives up and shrinks the sampling radius (a null step).
 
 The model is one array of rows [g_j, e_j]: a gradient and its linearization
 error at x_k.  Row 0 holds the gradient at x_k itself (error 0) and stays
-first.  An enrichment keeps the rows whose multipliers carry the weight
-theta (`select_indices`), stacks the new cut and the prior aggregate below
-them, and solves that stack.  The initial model's aggregate is the QP's own
-lam @ G; an enrichment's is the row-by-row sum of `aggregate`.  Near-duplicate
-rows make round-off decide how lam splits among them, so each aggregate keeps
-its own summation order: either order used for both moves the gradient counts.
+first; with exact gradients the m sampled rows come from one
+`ObjectiveOracle.grad_rows` call (see `build_initial_model`).  An
+enrichment keeps the rows whose multipliers carry the weight theta
+(`select_indices`), stacks the new cut and the prior aggregate below them in
+a preallocated buffer, and solves that stack.  The initial model's
+aggregate is the QP's own lam @ G; an enrichment's is the row-by-row sum of
+`aggregate`.  Near-duplicate rows make round-off decide how lam splits among
+them, so each aggregate keeps its own summation order: either order used for
+both moves the gradient counts.
 
 The improvement process gives up when the new linearization fails the
 improvement criterion, or when the model has stopped paying for its
@@ -215,7 +218,17 @@ def build_initial_model(
     f_xk: float | None = None,
     mode: GradientMode | None = None,
 ) -> np.ndarray:
-    """Rows [g_j, e_j]: row 0 at x_k (error 0) plus m sampled rows; m+1 gradient evaluations."""
+    """Rows [g_j, e_j]: row 0 at x_k (error 0) plus m sampled rows; m+1 gradient evaluations.
+
+    With exact gradients the m sampled gradients come from one
+    `oracle.grad_rows` call, still one `eval_grad` call per row and each row
+    byte-equal to `grad`.  A point whose gradient or objective value is not
+    finite is replaced by one fresh draw from the ball, and a second failure
+    raises EvaluationError.  When the block call fails, every row is
+    evaluated point by point again from the first, so the draws from `rng`
+    are those of a point-by-point loop.  Forward differences always go point
+    by point.
+    """
     mode = mode or GradientMode.exact()
     strict = mode.kind == "exact"
     x_k = np.asarray(x_k, dtype=float)
@@ -223,17 +236,27 @@ def build_initial_model(
         f_xk = oracle.f(x_k)
     rows = np.zeros((m + 1, x_k.size + 1))
     rows[0, :-1] = gradient(oracle, mode, x_k)
-    for row, s in zip(rows[1:], sample_ball(x_k, eps_k, m, rng)):
+    points = sample_ball(x_k, eps_k, m, rng)
+    block = None
+    if strict:
+        try:
+            block = oracle.grad_rows(points)
+        except EvaluationError:
+            pass  # each row again below, with the resampling rule
+    for j, s in enumerate(points):
         for attempt in range(2):
             try:
-                g_s = gradient(oracle, mode, s)
+                if block is not None and attempt == 0:
+                    g_s = block[j]
+                else:
+                    g_s = gradient(oracle, mode, s)
                 e_s = linearization_error(f_xk, oracle.f(s), g_s, x_k, s, strict)
                 break
             except EvaluationError:
                 if attempt == 1:
                     raise
                 s = sample_ball(x_k, eps_k, 1, rng)[0]
-        row[:-1], row[-1] = g_s, e_s
+        rows[j + 1, :-1], rows[j + 1, -1] = g_s, e_s
     return rows
 
 
@@ -376,11 +399,14 @@ def select_indices(lam: np.ndarray, theta: float, forced: tuple[int, ...] = ()) 
     total = float(lam.sum())
     keep: set[int] = set(int(j) for j in forced)
     if total > 0.0:
-        order = sorted(range(lam.size), key=lambda j: (-lam[j], j))
+        # Python floats order and add as the array's entries do, at a
+        # fraction of the cost; a stable sort keeps ties in position order
+        vals = lam.tolist()
+        order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
         cum = 0.0
         slack = 1e-12 * max(1.0, total)
         for j in order:
-            cum += float(lam[j])
+            cum += vals[j]
             if cum <= theta * total + slack:
                 keep.add(j)
             else:
@@ -452,6 +478,10 @@ def run(
     trace: list[IterationTrace] = []
     inner_cap = _INNER_LIMIT_FACTOR * (m + 1)
     stop_reason: str | None = None
+    # enrichment i writes its model into buffers[i % 2] and takes the kept
+    # rows from the previous model, which lives in the other buffer; a first
+    # model has at most m + 3 rows, and a longer one gets a larger buffer
+    buffers = [np.empty((2 * m + 6, n + 1)) for _ in range(2)]
 
     def emit(k, i, f_val, step, kind, diag=None) -> bool:
         rec = IterationTrace(
@@ -562,9 +592,15 @@ def run(
             # kept rows (row 0 first), the new cut, the prior aggregate; the
             # warm start puts the weight the kept rows do not carry on the last
             keep = select_indices(lam, config.theta, forced=(0,))
-            model = np.vstack([rows[keep], np.append(g_new, e_new),
-                               np.append(agg.g_tilde, agg.e_tilde)])
-            warm = np.append(lam[keep], [0.0, 0.0])
+            q = len(keep)
+            if len(buffers[i % 2]) < q + 2:
+                buffers[i % 2] = np.empty((2 * (q + 2), n + 1))
+            model = buffers[i % 2][:q + 2]
+            rows.take(keep, axis=0, out=model[:q])
+            model[q, :-1], model[q, -1] = g_new, e_new
+            model[q + 1, :-1], model[q + 1, -1] = agg.g_tilde, agg.e_tilde
+            warm = np.zeros(q + 2)
+            lam.take(keep, out=warm[:q])
             warm[-1] = max(0.0, 1.0 - warm.sum())
             d_prev, z_prev = step.direction, step.z
             sol = _solve_model(model, scale, warm, f"subproblem at k={k}, i={i}")

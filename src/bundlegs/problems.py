@@ -26,6 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .qp import _all_finite
+
 
 class EvaluationError(RuntimeError):
     """An oracle produced a non-finite value."""
@@ -88,9 +90,7 @@ class ObjectiveOracle:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.eval_grad(np.asarray(x, dtype=float)), dtype=float)
-        # a finite sum proves every entry finite; only a non-finite sum (a
-        # non-finite entry, or finite entries that overflow) is looked into
-        if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
+        if not _all_finite(g):
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x!r}")
         return g
 
@@ -105,12 +105,7 @@ class ObjectiveOracle:
         eval_grad = self.eval_grad
         for i, x in enumerate(X):
             G[i] = eval_grad(x)
-        # one sum proves the block finite, as in grad; numpy's warnings about
-        # a sum that overflows or meets inf and -inf say nothing the
-        # elementwise test does not
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = math.isfinite(G.sum())
-        if not (finite or np.isfinite(G).all()):
+        if not _all_finite(G):
             i = int(np.flatnonzero(~np.isfinite(G).all(axis=1))[0])
             raise EvaluationError(f"{self.name}: non-finite gradient at row {i} of a block "
                                   f"of {len(X)} points, x={X[i]!r}")
@@ -142,7 +137,7 @@ def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray) -> np.n
         xp = x.copy()
         xp[i] += h
         g[i] = (oracle.f(xp) - f0) / h
-    if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
+    if not _all_finite(g):
         raise EvaluationError(f"{oracle.name}: non-finite forward-difference gradient")
     return g
 

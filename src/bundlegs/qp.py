@@ -34,6 +34,14 @@ restricted to the rows and columns of W and the border.  The full
   differently.  Only the hull point is unique, and it is all the
   gradient-sampling baseline uses.  It shares the projected-gradient polish
   for an active set that round-off stalls.
+
+The bundle solver builds about 9.4k instances of 3-8 atoms per battery
+round, so per-call overhead, not arithmetic, is most of their cost.
+`SimplexQpInstance` takes a float64 array of the right rank as it is and
+converts anything else, to the same stored bytes.  The finite checks
+(`_all_finite`, shared with the oracles in `problems`) raise no numpy
+warning, so a finite input whose sum overflows is accepted and inf next to
+-inf is refused also under warnings as errors.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _NEG_ERR_TOL = 1e-12
+_F64 = np.dtype(float)
 
 
 class QpFailureError(RuntimeError):
@@ -51,10 +60,15 @@ class QpFailureError(RuntimeError):
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    # a finite sum proves every element finite; only a non-finite sum (a
-    # non-finite element, or finite elements that overflow) needs the
-    # elementwise test
-    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+    """True iff every element of the float array `a` is finite; never warns.
+
+    The largest magnitude is finite exactly when every element is, and
+    neither `abs` nor `max` can overflow or meet inf - inf, so unlike
+    `a.sum()` this raises no numpy warning.  `np.vdot(a, a)` is about 1 us
+    faster per call and does not warn today, but only because numpy,
+    unlike after `np.dot`, checks no floating-point flags after that call.
+    """
+    return math.isfinite(np.abs(a).max(initial=0.0))
 
 
 @dataclass
@@ -66,8 +80,14 @@ class SimplexQpInstance:
     penalty_scale: float
 
     def __post_init__(self) -> None:
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        errors = np.asarray(self.errors, dtype=float).ravel()
+        # float64 arrays of the right rank are taken as they are; anything
+        # else goes through the conversion, to the same array
+        atoms = self.atoms
+        if not (type(atoms) is np.ndarray and atoms.dtype is _F64 and atoms.ndim == 2):
+            atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        errors = self.errors
+        if not (type(errors) is np.ndarray and errors.dtype is _F64 and errors.ndim == 1):
+            errors = np.asarray(errors, dtype=float).ravel()
         if atoms.shape[0] == 0:
             raise ValueError("instance needs at least one atom")
         if errors.shape[0] != atoms.shape[0]:
@@ -76,9 +96,12 @@ class SimplexQpInstance:
             )
         if not (_all_finite(atoms) and _all_finite(errors)):
             raise ValueError("non-finite input")
-        if float(errors.min(initial=0.0)) < -_NEG_ERR_TOL:
-            raise ValueError(f"negative error {errors.min()} below -{_NEG_ERR_TOL}")
-        errors = np.where(errors < 0.0, 0.0, errors)
+        e_min = float(errors.min())
+        if e_min < -_NEG_ERR_TOL:
+            raise ValueError(f"negative error {e_min} below -{_NEG_ERR_TOL}")
+        # round-off below zero is clamped; the stored errors are always a
+        # contiguous copy of the caller's
+        errors = np.where(errors < 0.0, 0.0, errors) if e_min < 0.0 else errors.copy()
         if not self.penalty_scale > 0:
             raise ValueError("penalty_scale must be positive")
         self.atoms = atoms
@@ -240,7 +263,10 @@ def solve_simplex_qp(
 
     lam = None
     if warm_start is not None:
-        ws = np.maximum(np.asarray(warm_start, dtype=float).ravel(), 0.0)
+        if not (type(warm_start) is np.ndarray and warm_start.dtype is _F64
+                and warm_start.ndim == 1):
+            warm_start = np.asarray(warm_start, dtype=float).ravel()
+        ws = np.maximum(warm_start, 0.0)
         s = ws.sum()
         if ws.size == p and _all_finite(ws) and s > 0:
             lam = ws / s
@@ -255,7 +281,7 @@ def solve_simplex_qp(
     converged = False
     while iterations < max_iter:
         iterations += 1
-        rows = np.flatnonzero(member)
+        rows = member.nonzero()[0]
         k = rows.size - 1
         idx = rows[:k]
         sub = kkt.take(rows, axis=0).take(rows, axis=1)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from bundlegs.problems import ObjectiveOracle, make_problem
+from bundlegs.bgs import linearization_error
+from bundlegs.problems import (EvaluationError, GradientMode, ObjectiveOracle, gradient,
+                               make_problem)
 from bundlegs.qp import SimplexQpInstance, SimplexQpSolution
+from bundlegs.sampling import sample_ball
 
 
 @lru_cache(maxsize=None)
@@ -443,3 +447,82 @@ def reference_problem(name: str, n: int | None = None) -> ObjectiveOracle:
         return oracle
     eval_f, eval_grad = bodies(oracle.dimension)
     return replace(oracle, eval_f=eval_f, eval_grad=eval_grad)
+
+
+# ---------------------------------------------------------------------------
+# the bundle solver's subproblem path as it stood before its per-call
+# overhead was cut
+# ---------------------------------------------------------------------------
+# Verbatim copies of `bgs.select_indices`, the input handling of
+# `SimplexQpInstance` and the point-by-point loop of `bgs.build_initial_model`.
+# The program must reproduce them byte for byte: the bundle solver's gradient
+# counts move with the last bit of its model.
+
+
+def reference_select_indices(lam: np.ndarray, theta: float,
+                             forced: tuple[int, ...] = ()) -> list[int]:
+    lam = np.asarray(lam, dtype=float)
+    total = float(lam.sum())
+    keep: set[int] = set(int(j) for j in forced)
+    if total > 0.0:
+        order = sorted(range(lam.size), key=lambda j: (-lam[j], j))
+        cum = 0.0
+        slack = 1e-12 * max(1.0, total)
+        for j in order:
+            cum += float(lam[j])
+            if cum <= theta * total + slack:
+                keep.add(j)
+            else:
+                break
+    return sorted(keep)
+
+
+def _ref_all_finite(a: np.ndarray) -> bool:
+    # the old check; its sum warns on inf + -inf or an overflow, which the
+    # elementwise test then decides, so the warnings are silenced here
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
+def reference_instance_arrays(atoms, errors, penalty_scale) -> tuple[np.ndarray, np.ndarray, float]:
+    """The (atoms, errors, penalty_scale) that `SimplexQpInstance` stored, or its error."""
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    errors = np.asarray(errors, dtype=float).ravel()
+    if atoms.shape[0] == 0:
+        raise ValueError("instance needs at least one atom")
+    if errors.shape[0] != atoms.shape[0]:
+        raise ValueError(
+            f"errors length {errors.shape[0]} does not match atom count {atoms.shape[0]}"
+        )
+    if not (_ref_all_finite(atoms) and _ref_all_finite(errors)):
+        raise ValueError("non-finite input")
+    if float(errors.min(initial=0.0)) < -1e-12:
+        raise ValueError(f"negative error {errors.min()} below -{1e-12}")
+    errors = np.where(errors < 0.0, 0.0, errors)
+    if not penalty_scale > 0:
+        raise ValueError("penalty_scale must be positive")
+    return atoms, errors, float(penalty_scale)
+
+
+def reference_build_initial_model(oracle: ObjectiveOracle, x_k: np.ndarray, eps_k: float,
+                                  m: int, rng: np.random.Generator, f_xk: float | None = None,
+                                  mode: GradientMode | None = None) -> np.ndarray:
+    mode = mode or GradientMode.exact()
+    strict = mode.kind == "exact"
+    x_k = np.asarray(x_k, dtype=float)
+    if f_xk is None:
+        f_xk = oracle.f(x_k)
+    rows = np.zeros((m + 1, x_k.size + 1))
+    rows[0, :-1] = gradient(oracle, mode, x_k)
+    for row, s in zip(rows[1:], sample_ball(x_k, eps_k, m, rng)):
+        for attempt in range(2):
+            try:
+                g_s = gradient(oracle, mode, s)
+                e_s = linearization_error(f_xk, oracle.f(s), g_s, x_k, s, strict)
+                break
+            except EvaluationError:
+                if attempt == 1:
+                    raise
+                s = sample_ball(x_k, eps_k, 1, rng)[0]
+        row[:-1], row[-1] = g_s, e_s
+    return rows

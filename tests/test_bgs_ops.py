@@ -1,8 +1,12 @@
 """Elementary bundle operations: errors, directions, criteria, selection."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from helpers import abs_oracle, quadratic_oracle
+from helpers import (abs_oracle, quadratic_oracle, reference_build_initial_model,
+                     reference_select_indices)
 
 from bundlegs.bgs import (
     AggregateAtom,
@@ -19,8 +23,10 @@ from bundlegs.bgs import (
     select_indices,
     sufficient_decrease,
 )
-from bundlegs.problems import make_problem
+from bundlegs.harness import perturb_start
+from bundlegs.problems import EvaluationError, GradientMode, ObjectiveOracle, make_problem
 from bundlegs.qp import SimplexQpSolution
+from bundlegs.sampling import sample_ball
 
 
 def _solution(g, e):
@@ -349,3 +355,137 @@ def test_config_validation():
     assert SolverConfig().resolve_m(10) == 20
     assert SolverConfig().resolve_m(50) == 5
     assert SolverConfig(m=7).resolve_m(50) == 7
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the point-by-point path (tests/helpers.py keeps it)
+# ---------------------------------------------------------------------------
+
+
+def _random_multipliers(rng):
+    """Weights with ties, zeros and -0.0, as the QP hands them over."""
+    p = int(rng.integers(1, 14))
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        lam = rng.uniform(0.0, 1.0, p)
+    elif kind == 1:  # a few distinct values, many ties
+        lam = rng.choice([0.0, 0.125, 0.25, 1.0 / 3.0], p)
+    elif kind == 2:  # sparse, with signed zeros
+        lam = rng.uniform(0.0, 1.0, p) * (rng.uniform(size=p) < 0.4)
+        lam[rng.uniform(size=p) < 0.5] *= -1.0
+        lam = np.where(lam < 0.0, -0.0, lam)
+    else:  # on the simplex, as a solution's lam
+        lam = rng.dirichlet(np.full(p, 0.3))
+    return lam
+
+
+def test_select_indices_matches_the_old_selection():
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        lam = _random_multipliers(rng)
+        theta = float(rng.choice([0.0, 0.5, 0.9, 1.0, rng.uniform()]))
+        forced = tuple(int(j) for j in rng.choice(lam.size, int(rng.integers(0, 3))))
+        for args in ((lam, theta), (lam, theta, forced), (lam, theta, (0,))):
+            got = select_indices(*args)
+            assert got == reference_select_indices(*args), (lam.tolist(), theta, forced)
+            assert all(type(j) is int for j in got)
+
+
+def test_select_indices_orders_ties_and_signed_zeros_by_position():
+    lam = np.array([0.0, 0.25, -0.0, 0.25, 0.5, 0.0])
+    for theta in (0.0, 0.5, 0.75, 1.0):
+        assert select_indices(lam, theta) == reference_select_indices(lam, theta)
+    assert select_indices(lam, 0.75) == [1, 4]
+    assert select_indices(lam, 1.0) == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("n", [2, 50, 500])
+@pytest.mark.parametrize("problem", range(1, 9))
+def test_initial_model_matches_the_point_by_point_loop(problem, n):
+    oracle = make_problem(str(problem), n)
+    m = {2: 4, 50: 5, 500: 50}[n]
+    x = perturb_start(oracle.x0, n, np.random.default_rng([3, 1]))
+    f_x = oracle.f(x)
+    for eps in (1.0, 1e-3):
+        rng, ref_rng = np.random.default_rng(problem), np.random.default_rng(problem)
+        rows = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x)
+        want = reference_build_initial_model(oracle, x, eps, m, ref_rng, f_xk=f_x)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_initial_model_makes_one_block_call_and_one_gradient_call_per_row(monkeypatch):
+    oracle = make_problem("ChainedLQ", 10)
+    calls = {"grad_rows": 0, "eval_grad": 0}
+
+    def eval_grad(x):
+        calls["eval_grad"] += 1
+        return oracle.eval_grad(x)
+
+    grad_rows = ObjectiveOracle.grad_rows
+
+    def block(self, X):
+        calls["grad_rows"] += 1
+        return grad_rows(self, X)
+
+    monkeypatch.setattr(ObjectiveOracle, "grad_rows", block)
+    counted = replace(oracle, eval_grad=eval_grad)
+    build_initial_model(counted, oracle.x0, 0.5, 7, np.random.default_rng(0))
+    assert calls == {"grad_rows": 1, "eval_grad": 8}
+    # forward differences never use the block
+    build_initial_model(counted, oracle.x0, 0.5, 7, np.random.default_rng(0),
+                        mode=GradientMode.forward(1e-8))
+    assert calls == {"grad_rows": 1, "eval_grad": 8}
+
+
+# ---------------------------------------------------------------------------
+# the resampling rule of the initial model
+# ---------------------------------------------------------------------------
+
+
+def _half_broken_oracle(broken: str) -> ObjectiveOracle:
+    """f = ||x||^2 / 2 with gradient x, but `broken` ("grad" or "f") is NaN
+    where x_0 > 0.5, about a fifth of the unit disc around the origin."""
+    def f(x):
+        return math.nan if broken == "f" and x[0] > 0.5 else 0.5 * float(x @ x)
+
+    def g(x):
+        return np.full(2, np.nan) if broken == "grad" and x[0] > 0.5 else x.copy()
+
+    return ObjectiveOracle("half-broken", 2, 0.0, np.zeros(2), f, g)
+
+
+# forward differences never call the broken gradient
+@pytest.mark.parametrize("broken,mode", [
+    ("grad", GradientMode.exact()), ("f", GradientMode.exact()),
+    ("f", GradientMode.forward(1e-9))], ids=["grad-exact", "f-exact", "f-forward"])
+def test_initial_model_resamples_a_bad_point_once(broken, mode):
+    oracle = _half_broken_oracle(broken)
+    x, eps, m = np.zeros(2), 1.0, 4
+    seen = {"clean": 0, "resampled": 0, "raised": 0}
+    for seed in range(150):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = reference_build_initial_model(oracle, x, eps, m, ref_rng, mode=mode)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                build_initial_model(oracle, x, eps, m, rng, mode=mode)
+            seen["raised"] += 1
+            continue
+        rows = build_initial_model(oracle, x, eps, m, rng, mode=mode)
+        assert rows.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # each bad sample is replaced by the next single draw from the ball
+        draw = np.random.default_rng(seed)
+        points = sample_ball(x, eps, m, draw)
+        bad = [j for j, s in enumerate(points) if s[0] > 0.5]
+        for j, s in enumerate(points):
+            fresh = sample_ball(x, eps, 1, draw)[0] if j in bad else s
+            if mode.kind == "exact":
+                assert rows[j + 1, :-1].tobytes() == fresh.tobytes()
+            else:
+                np.testing.assert_allclose(rows[j + 1, :-1], fresh, atol=1e-5)
+        assert draw.bit_generator.state == rng.bit_generator.state
+        seen["resampled" if bad else "clean"] += 1
+    # every branch of the rule was taken
+    assert min(seen.values()) > 0, seen

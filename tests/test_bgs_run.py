@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from helpers import huge_gradient_oracle, quadratic_oracle
 
+from bundlegs import bgs
 from bundlegs.bgs import QpFailureError, SolverConfig, StepKind, run
 from bundlegs.harness import perturb_start
-from bundlegs.problems import make_problem
+from bundlegs.problems import GradientMode, make_problem
+from bundlegs.qp import SimplexQpInstance
 
 
 def traced_run(oracle, seed=0, m=None, eps0=1.0, max_outer=200, stop_abs=None,
@@ -199,3 +201,74 @@ def test_bad_x0_rejected():
         run(oracle, SolverConfig(), x0=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         run(oracle, SolverConfig(), x0=np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# pinned trajectories: the gradient count and the last bit of f of runs from
+# the benchmark's workloads.  Any change to the round-off of the model, the
+# QP or the aggregate moves them.
+# ---------------------------------------------------------------------------
+
+# seed 0 of the n=50 battery: m=5, stop at relative error 5e-4
+BATTERY_PINS = [
+    ("TiltedNorm", 106, "0x1.821ec241463bep-45"),
+    ("MXHILB", 583, "0x1.06172c9a10698p-11"),
+    ("ChainedLQ", 377, "-0x1.1510609e4716fp+6"),
+    ("ChainedCB3I", 853, "0x1.883106dd74d7cp+6"),
+    ("ChainedCB3II", 159, "0x1.8815dac71651cp+6"),
+    ("MAXQ-gen", 910, "0x1.04681f69cb87bp-11"),
+    ("MAXL-gen", 1149, "0x1.6df82d4d87b6fp-48"),
+    ("PartlySmooth", 177, "0x1.6cd6cd51fa58dp-16"),
+]
+
+# Rosen, m=8, 300 outer iterations, seed 0, to the solver's own stop
+ROSEN_PINS = [
+    (GradientMode.exact(), 2101, "-0x1.5ffffffffff87p+5"),
+    (GradientMode.forward(1e-9), 1934, "-0x1.5ffffffffed53p+5"),
+]
+
+
+@pytest.mark.parametrize("name,grad_evals,f_hex", BATTERY_PINS,
+                         ids=[p[0] for p in BATTERY_PINS])
+def test_battery_trajectory_pinned(name, grad_evals, f_hex):
+    oracle = make_problem(name, 50)
+    start = perturb_start(oracle.x0, 50, np.random.default_rng([0, 1]))
+    res = run(oracle, SolverConfig(seed=0, m=5), start,
+              stop_callback=lambda rec: (rec.f_val - oracle.f_star)
+              / (abs(oracle.f_star) + 1.0) <= 5e-4)
+    assert res.stop_reason == "callback"
+    assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)
+
+
+@pytest.mark.parametrize("mode,grad_evals,f_hex", ROSEN_PINS, ids=["exact", "forward"])
+def test_rosen_trajectory_pinned(mode, grad_evals, f_hex):
+    oracle = make_problem("Rosen")
+    start = perturb_start(oracle.x0, 4, np.random.default_rng([0, 1]))
+    res = run(oracle, SolverConfig(seed=0, m=8, max_outer=300), start, grad_mode=mode)
+    assert res.stop_reason == "radius_floor"
+    assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)
+
+
+# theta=1 keeps every row, so the enrichment models outgrow the first
+# buffers run() sets aside for them (2m + 6 rows)
+GROWTH_PINS = [
+    ("ChainedLQ", 10, 1, 354, "-0x1.974b01e0420e4p+3"),
+    ("Rosen", None, 0, 247, "-0x1.5fffffffb1dafp+5"),
+]
+
+
+@pytest.mark.parametrize("name,n,m,grad_evals,f_hex", GROWTH_PINS,
+                         ids=[p[0] for p in GROWTH_PINS])
+def test_long_model_trajectory_pinned(monkeypatch, name, n, m, grad_evals, f_hex):
+    atoms = []
+
+    def instance(*args):
+        inst = SimplexQpInstance(*args)
+        atoms.append(inst.n_atoms)
+        return inst
+
+    monkeypatch.setattr(bgs, "SimplexQpInstance", instance)
+    oracle = make_problem(name, n)
+    res = run(oracle, SolverConfig(seed=1, m=m, theta=1.0, max_outer=40))
+    assert max(atoms) > 2 * m + 6
+    assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)

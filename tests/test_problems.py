@@ -1,6 +1,7 @@
 """Benchmark oracle checks: optimal values, convexity, gradient consistency."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -379,6 +380,35 @@ def test_norm_bodies_byte_equal_on_strided_points(name):
         x = cols[:, 1]
         assert _same_value(new.eval_f(x), ref.eval_f(x)), x
         assert _same_array(new.eval_grad(x), ref.eval_grad(x)), x
+
+
+# the finite check shared with the QP instance never warns: under warnings
+# as errors a finite gradient whose sum overflows is still returned, and
+# inf next to -inf is still an EvaluationError
+@pytest.mark.parametrize("mode", [GradientMode.exact(), GradientMode.forward(FD_STEP)],
+                         ids=["exact", "forward"])
+def test_gradient_finite_check_never_warns(mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gradient(_oracle_with_gradient([1e308, 1e308]), mode, np.zeros(2))
+        with pytest.raises(EvaluationError, match="non-finite"):
+            gradient(_oracle_with_gradient([np.inf, -np.inf]), mode, np.zeros(2))
+        with pytest.raises(EvaluationError, match="non-finite"):
+            gradient(_oracle_with_gradient([1e308, np.nan]), mode, np.zeros(2))
+    np.testing.assert_allclose(g, [1e308, 1e308], rtol=1e-6)
+
+
+def test_oracle_grad_and_grad_rows_never_warn():
+    oracle = _identity_gradient_oracle(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _same_array(oracle.grad(np.array([1e308, 1e308])), np.array([1e308, 1e308]))
+        with pytest.raises(EvaluationError, match="non-finite gradient at x="):
+            oracle.grad(np.array([np.inf, -np.inf]))
+        X = np.array([[1e308, 1e308], [1.0, 2.0]])
+        assert _same_array(oracle.grad_rows(X), X)
+        with pytest.raises(EvaluationError, match="at row 1 of a block of 2"):
+            oracle.grad_rows(np.array([[1e308, 1e308], [np.inf, -np.inf]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Simplex QP solver: frozen examples, grid-oracle equivalence, KKT certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
-from helpers import grid_min_objective, reference_solve_simplex_qp
+from helpers import grid_min_objective, reference_instance_arrays, reference_solve_simplex_qp
 
 from bundlegs import bgs, qp
 from bundlegs.qp import QpFailureError, SimplexQpInstance, min_norm_point, solve_simplex_qp
@@ -509,3 +511,118 @@ def test_nearest_point_enters_one_atom_after_a_whole_block_leaves(monkeypatch):
     want = reference_solve_simplex_qp(SimplexQpInstance(G, np.zeros(len(G)), 1.0))
     g_max = float(np.linalg.norm(G, axis=1).max())
     assert abs(np.linalg.norm(sol.g_tilde) - np.linalg.norm(want.g_tilde)) <= 1e-12 * g_max
+
+
+# ---------------------------------------------------------------------------
+# instance fast path: the same stored bytes and the same refusals as the
+# conversion it skips (tests/helpers.py keeps the old input handling)
+# ---------------------------------------------------------------------------
+
+
+def _instance_inputs():
+    rng = np.random.default_rng(108)
+    G = rng.standard_normal((5, 8))
+    e = rng.uniform(0.0, 1.0, 5)
+    wide = np.abs(rng.standard_normal((10, 17)))
+    yield "arrays", G, e, 2.0
+    yield "lists", G.tolist(), e.tolist(), 2.0
+    yield "ints", [[1, 2], [3, 4]], [0, 1], 3
+    yield "float32", G.astype(np.float32), e.astype(np.float32), np.float32(0.5)
+    yield "1-D atoms", G[0], e[:1], 1.0
+    yield "2-D errors", G, e[:, None], 1.0
+    yield "row errors", G, e[None, :], 1.0
+    yield "strided views", wide[::2, 1:-1:2], wide[::2, -1], 1.0
+    yield "Fortran atoms", np.asfortranarray(G), e, 1.0
+    yield "big-endian", G.astype(">f8"), e.astype(">f8"), 1.0
+    yield "-0.0 errors", G, np.array([0.0, -0.0, 1.0, -0.0, 0.5]), 1.0
+    yield "-1e-13 errors", G, np.array([0.0, -1e-13, 1.0, -0.0, -1e-12]), 1.0
+    yield "scalar error", [[1.0, 2.0]], 0.25, 1.0
+
+
+@pytest.mark.parametrize("atoms,errors,scale", [a[1:] for a in _instance_inputs()],
+                         ids=[a[0] for a in _instance_inputs()])
+def test_instance_stores_the_old_bytes(atoms, errors, scale):
+    want_atoms, want_errors, want_scale = reference_instance_arrays(atoms, errors, scale)
+    inst = SimplexQpInstance(atoms, errors, scale)
+    for got, want in ((inst.atoms, want_atoms), (inst.errors, want_errors)):
+        assert type(got) is np.ndarray and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+    # a float64 matrix is kept as given; the errors are always a fresh copy
+    assert (inst.atoms is atoms) == (want_atoms is atoms)
+    assert not np.shares_memory(inst.errors, np.asarray(errors))
+    assert type(inst.penalty_scale) is float and inst.penalty_scale == want_scale
+
+
+def _refused_inputs():
+    G = np.ones((3, 2))
+    yield "no atoms", np.empty((0, 2)), np.empty(0), 1.0
+    yield "no atoms, list", [], [], 1.0
+    yield "length mismatch", G, np.zeros(2), 1.0
+    yield "length mismatch, 2-D errors", G, np.zeros((2, 2)), 1.0
+    yield "nan atom", np.where(np.eye(3, 2) > 0, np.nan, G), np.zeros(3), 1.0
+    yield "inf error", G, [0.0, np.inf, 0.0], 1.0
+    yield "inf and -inf atoms", [[np.inf, -np.inf]] * 3, np.zeros(3), 1.0
+    yield "negative error", G, [0.0, -1e-11, 0.0], 1.0
+    yield "negative error, list", G.tolist(), [0.0, -2.0, -3.0], 1.0
+    yield "zero scale", G, np.zeros(3), 0.0
+    yield "nan scale", G, np.zeros(3), float("nan")
+    yield "negative error and zero scale", G, [-1.0, 0.0, 0.0], 0.0
+    yield "non-finite error and zero scale", G, [np.nan, 0.0, 0.0], 0.0
+
+
+@pytest.mark.parametrize("atoms,errors,scale", [a[1:] for a in _refused_inputs()],
+                         ids=[a[0] for a in _refused_inputs()])
+def test_instance_refuses_what_the_old_one_refused(atoms, errors, scale):
+    with pytest.raises(ValueError) as want:
+        reference_instance_arrays(atoms, errors, scale)
+    with pytest.raises(ValueError) as got:
+        SimplexQpInstance(atoms, errors, scale)
+    assert str(got.value) == str(want.value)
+
+
+def test_matches_reference_on_warm_starts_of_any_form():
+    # the float64 vector fast path and the conversion give the same weights
+    rng = np.random.default_rng(109)
+    for _ in range(50):
+        inst = random_instance(rng, max_atoms=8, max_dim=5)
+        p = inst.n_atoms
+        warm = rng.uniform(0.0, 1.0, p)
+        wide = np.zeros(2 * p)
+        wide[::2] = warm
+        for form in (warm, warm.tolist(), warm.astype(np.float32), warm[:, None],
+                     wide[::2], np.array([-0.0] * p), np.full(p, np.inf)):
+            assert_same_solution(inst, warm_start=form)
+
+
+# ---------------------------------------------------------------------------
+# finite checks under warnings as errors
+# ---------------------------------------------------------------------------
+
+
+def test_finite_check_never_warns():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in ([1e308, 1e308], [[1e308, -1e308], [1e308, 1e308]], [1.0, 2.0], []):
+            assert qp._all_finite(np.array(a, dtype=float))
+        for a in ([np.inf, -np.inf], [np.nan, 1.0], [[1.0], [-np.inf]], [1e308, np.nan]):
+            assert not qp._all_finite(np.array(a, dtype=float))
+        # a strided view is tested on its own elements
+        a = np.array([1.0, np.inf, 2.0, np.nan, 3.0])
+        assert qp._all_finite(a[::2]) and not qp._all_finite(a[1::2])
+
+
+def test_instance_with_overflowing_sum_accepted_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = SimplexQpInstance([[1e308, 1e308]], [0.0], 1.0)
+        with pytest.raises(ValueError, match="non-finite input"):
+            SimplexQpInstance([[np.inf, -np.inf]], [0.0], 1.0)
+    np.testing.assert_array_equal(inst.atoms, [[1e308, 1e308]])
+    # G G' overflows: the solve, not the instance, refuses it, with its typed
+    # error (numpy's own matmul warning is not what is tested here)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow encountered in matmul", RuntimeWarning)
+        with pytest.raises(QpFailureError, match="Gram matrix overflows"):
+            solve_simplex_qp(inst)
