@@ -10,8 +10,9 @@ or gives up and shrinks the sampling radius (a null step).
 
 The model is one array of rows [g_j, e_j]: a gradient and its linearization
 error at x_k.  Row 0 holds the gradient at x_k itself (error 0) and stays
-first; with exact gradients the m sampled rows come from one
-`ObjectiveOracle.grad_rows` call (see `build_initial_model`).  An
+first; with exact gradients the m sampled points get their values and
+gradients from one `ObjectiveOracle.value_grad_rows` call, and their errors
+are taken at once (see `build_initial_model`).  An
 enrichment keeps the rows whose multipliers carry the weight theta
 (`select_indices`), stacks the new cut and the prior aggregate below them in
 a preallocated buffer, and solves that stack.  The initial model's
@@ -194,19 +195,46 @@ def linearization_error(f_xk: float, f_s: float, g_s: np.ndarray, x_k: np.ndarra
     value below the floating-point noise floor raises ConvexityError; with
     inexact gradients (strict=False) any negative value is clamped.
     """
-    plane = f_s + float(g_s @ (x_k - s))
-    e = f_xk - plane
+    dot = float(g_s @ (x_k - s))
+    e = f_xk - (f_s + dot)
     if e >= 0.0:
         return e
     if not strict:
         return 0.0
     # noise floor scaled by the magnitudes entering the cancellation
-    floor = 1e-12 * max(1.0, abs(f_xk), abs(f_s) + abs(float(g_s @ (x_k - s))))
+    floor = 1e-12 * max(1.0, abs(f_xk), abs(f_s) + abs(dot))
     if e < -floor:
-        raise ConvexityError(
-            f"linearization error {e} below -{floor}: non-convex or broken oracle"
-        )
+        raise _convexity_error(e, floor)
     return 0.0
+
+
+def _convexity_error(e: float, floor: float) -> ConvexityError:
+    return ConvexityError(
+        f"linearization error {e} below -{floor}: non-convex or broken oracle")
+
+
+def _linearization_errors(f_xk: float, F: np.ndarray, G: np.ndarray, x_k: np.ndarray,
+                          S: np.ndarray, strict: bool) -> np.ndarray:
+    """`linearization_error` of every row (F[j], G[j], S[j]) at once, byte-equal to it.
+
+    `np.vecdot` takes each row's dot as `g_s @ (x_k - s)` does; an einsum
+    or a matmul sums in another order.  A strict error below its noise
+    floor raises ConvexityError for the first such row.
+    """
+    dots = np.vecdot(G, x_k - S)
+    e = f_xk - (F + dots)
+    low = ~(e >= 0.0)  # NaN too, as in the scalar test; -0.0 is kept
+    if low.any():
+        if strict:
+            # max(1.0, |f_xk|, ...) differs from np.maximum only on a NaN
+            # dot, whose error is NaN and below no floor in either
+            floor = 1e-12 * np.maximum(max(1.0, abs(f_xk)), np.abs(F) + np.abs(dots))
+            below = np.flatnonzero(e < -floor)
+            if below.size:
+                j = below[0]
+                raise _convexity_error(float(e[j]), float(floor[j]))
+        e[low] = 0.0
+    return e
 
 
 def build_initial_model(
@@ -217,17 +245,18 @@ def build_initial_model(
     rng: np.random.Generator,
     f_xk: float | None = None,
     mode: GradientMode | None = None,
-) -> np.ndarray:
-    """Rows [g_j, e_j]: row 0 at x_k (error 0) plus m sampled rows; m+1 gradient evaluations.
+) -> tuple[np.ndarray, int]:
+    """Rows [g_j, e_j]: row 0 at x_k (error 0) plus m sampled rows, and the gradients spent.
 
-    With exact gradients the m sampled gradients come from one
-    `oracle.grad_rows` call, still one `eval_grad` call per row and each row
-    byte-equal to `grad`.  A point whose gradient or objective value is not
-    finite is replaced by one fresh draw from the ball, and a second failure
-    raises EvaluationError.  When the block call fails, every row is
-    evaluated point by point again from the first, so the draws from `rng`
-    are those of a point-by-point loop.  Forward differences always go point
-    by point.
+    With exact gradients the m sampled points are evaluated by one
+    `oracle.value_grad_rows` call, one `eval_grad` and one `eval_f` call per
+    row; forward differences go point by point.  A point whose gradient or
+    objective value is not finite is replaced by one fresh draw from the
+    ball, the bad points in index order, and a second failure raises
+    EvaluationError.  The m errors are then taken at once.  The rows and the
+    draws from `rng` are those of a loop that takes the points one at a
+    time, and an error raised is the one that loop raises first.  Every
+    evaluated point costs one gradient: m + 1 plus one per replaced point.
     """
     mode = mode or GradientMode.exact()
     strict = mode.kind == "exact"
@@ -236,28 +265,30 @@ def build_initial_model(
         f_xk = oracle.f(x_k)
     rows = np.zeros((m + 1, x_k.size + 1))
     rows[0, :-1] = gradient(oracle, mode, x_k)
+    G = rows[1:, :-1]
     points = sample_ball(x_k, eps_k, m, rng)
-    block = None
     if strict:
-        try:
-            block = oracle.grad_rows(points)
-        except EvaluationError:
-            pass  # each row again below, with the resampling rule
-    for j, s in enumerate(points):
-        for attempt in range(2):
+        F, bad = oracle.value_grad_rows(points, out=G)
+    else:
+        F, bad = np.empty(m), []
+        for j, s in enumerate(points):
             try:
-                if block is not None and attempt == 0:
-                    g_s = block[j]
-                else:
-                    g_s = gradient(oracle, mode, s)
-                e_s = linearization_error(f_xk, oracle.f(s), g_s, x_k, s, strict)
-                break
+                G[j] = gradient(oracle, mode, s)
+                F[j] = oracle.f(s)
             except EvaluationError:
-                if attempt == 1:
-                    raise
-                s = sample_ball(x_k, eps_k, 1, rng)[0]
-        rows[j + 1, :-1], rows[j + 1, -1] = g_s, e_s
-    return rows
+                bad.append(j)
+    for j in bad:
+        s = sample_ball(x_k, eps_k, 1, rng)[0]
+        try:
+            G[j] = gradient(oracle, mode, s)
+            F[j] = oracle.f(s)
+        except EvaluationError:
+            # one at a time, a non-convex row before j would have raised first
+            _linearization_errors(f_xk, F[:j], G[:j], x_k, points[:j], strict)
+            raise
+        points[j] = s
+    rows[1:, -1] = _linearization_errors(f_xk, F, G, x_k, points, strict)
+    return rows, m + 1 + len(bad)
 
 
 def direction_from_dual(agg: SimplexQpSolution | AggregateAtom, eps_k: float,
@@ -513,8 +544,8 @@ def run(
         outer += 1
 
         # rows [g_j, e_j] of the model and their multipliers; row 0 is x_k's
-        rows = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode)
-        g_evals += m + 1
+        rows, spent = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode)
+        g_evals += spent
         grad_xk = rows[0, :-1]
         scale = eps ** (-config.alpha)
         sol = _solve_model(rows, scale, None, f"initial subproblem at k={k}")

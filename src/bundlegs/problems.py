@@ -12,7 +12,9 @@ with probability 1.
 
 The bodies are written for speed: every sub-expression is computed once,
 the active piece is picked by comparisons, Rosen works on Python floats,
-and the 2-norms skip `np.linalg.norm`'s dispatch.  Their outputs are pinned
+the 2-norms skip `np.linalg.norm`'s dispatch, and MXHILB's value and
+gradient share the Hilbert product of the last point they saw, since the
+solvers ask for both at one point one after the other.  Their outputs are pinned
 byte for byte, including the sign of zero, to the plain bodies kept in
 `tests/helpers.py`, because the solvers' gradient counts react to the last
 bit of a gradient.
@@ -71,7 +73,8 @@ class ObjectiveOracle:
 
     `grad` evaluates one point and `grad_rows` a block of points, one
     `eval_grad` call per row in both, so a wrapper around `eval_grad` counts
-    every gradient the solvers use.
+    every gradient the solvers use.  `value_grad_rows` pairs each row's
+    gradient with its value, one `eval_grad` and one `eval_f` call per row.
     """
 
     name: str
@@ -110,6 +113,28 @@ class ObjectiveOracle:
             raise EvaluationError(f"{self.name}: non-finite gradient at row {i} of a block "
                                   f"of {len(X)} points, x={X[i]!r}")
         return G
+
+    def value_grad_rows(self, X: np.ndarray, out: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, list[int]]:
+        """Values and gradients at the rows of X, and the rows where either is not finite.
+
+        Returns (F, bad): F[i] equals f(X[i]) and the gradients, row i
+        byte-equal to grad(X[i]), go into `out` (an (m, n) array, new when
+        None).  Each row makes one `eval_grad` call and then one `eval_f`
+        call at the same point, and one finite check covers the block; the
+        rows listed in `bad`, in increasing order, hold whatever the bodies
+        returned.
+        """
+        X = np.asarray(X, dtype=float)
+        G = np.empty((len(X), self.dimension)) if out is None else out
+        F = np.empty(len(X))
+        eval_f, eval_grad = self.eval_f, self.eval_grad
+        for i, x in enumerate(X):
+            G[i] = eval_grad(x)
+            F[i] = eval_f(x)
+        if _all_finite(G) and _all_finite(F):
+            return F, []
+        return F, np.flatnonzero(~(np.isfinite(G).all(axis=1) & np.isfinite(F))).tolist()
 
     def differentiable_at(self, x: np.ndarray) -> bool:
         if self.smooth_at is not None:
@@ -178,12 +203,25 @@ def _mxhilb(n: int) -> ObjectiveOracle:
     # f(x) = max_i | sum_j x_j / (i + j - 1) |
     i = np.arange(n)
     hilb = 1.0 / (i[:, None] + i[None, :] + 1.0)
+    # the bytes of the last point seen and its product with hilb, as one
+    # pair: the solvers ask for f and the gradient at the same point one
+    # after the other, and the n x n product is most of the cost of either
+    last = [(None, None)]
+
+    def product(x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        seen, t = last[0]
+        if key != seen:
+            t = hilb @ x
+            last[0] = key, t
+        return t
 
     def f(x):
-        return np.abs(hilb @ x).max()
+        return np.abs(product(x)).max()
 
     def g(x):
-        t = hilb @ x
+        t = product(x)
         k = int(np.argmax(np.abs(t)))
         s = 1.0 if t[k] >= 0 else -1.0
         return s * hilb[k]

@@ -244,7 +244,9 @@ def solve_simplex_qp(
 
     `tol` bounds the accepted KKT violation (scaled by the multiplier
     magnitude for badly scaled data).  `warm_start` is any point on the
-    simplex; the result does not depend on it beyond round-off.  Raises
+    simplex; the result does not depend on it beyond round-off.  One of the
+    wrong size, with no positive entry, with an entry that is not finite, or
+    whose entries could sum past the largest double is ignored.  Raises
     QpFailureError when G G' overflows (atoms of norm past about 1.3e154).
     """
     G = instance.atoms
@@ -267,9 +269,12 @@ def solve_simplex_qp(
                 and warm_start.ndim == 1):
             warm_start = np.asarray(warm_start, dtype=float).ravel()
         ws = np.maximum(warm_start, 0.0)
-        s = ws.sum()
-        if ws.size == p and _all_finite(ws) and s > 0:
-            lam = ws / s
+        # p entries of at most max(ws) sum to below 2 p max(ws), so the sum
+        # cannot overflow when that bound is finite; inf and NaN fail it
+        if ws.size == p and math.isfinite(2.0 * p * float(ws.max())):
+            s = ws.sum()
+            if s > 0:
+                lam = ws / s
     if lam is None:
         j0 = int(np.argmin(0.5 * H.diagonal() + c))
         lam = np.zeros(p)

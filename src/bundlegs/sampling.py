@@ -23,4 +23,9 @@ def sample_ball(center: np.ndarray, radius: float, count: int, rng: np.random.Ge
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     radii = radius * rng.random(count) ** (1.0 / n)
-    return center + dirs / norms * radii[:, None]
+    # center + dirs / norms * radii, the same operations in the same order,
+    # without the temporaries
+    dirs /= norms
+    dirs *= radii[:, None]
+    dirs += center
+    return dirs

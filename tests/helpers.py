@@ -9,11 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from bundlegs.bgs import linearization_error
+from bundlegs.bgs import ConvexityError
 from bundlegs.problems import (EvaluationError, GradientMode, ObjectiveOracle, gradient,
                                make_problem)
 from bundlegs.qp import SimplexQpInstance, SimplexQpSolution
-from bundlegs.sampling import sample_ball
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +290,8 @@ def reference_solve_simplex_qp(
 # Verbatim copies of the `eval_f` / `eval_grad` bodies of the problems whose
 # bodies were rewritten for speed, as they stood before: numpy scalars for
 # Rosen, `vstack` + `argmax` for the CB3 pair pieces, `np.linalg.norm` for
-# TiltedNorm and PartlySmooth.
+# TiltedNorm and PartlySmooth, and MXHILB's Hilbert product taken afresh in
+# each body.
 # `bundlegs.problems` must reproduce them byte for byte, including the sign
 # of zero and argmax's first-index tie rule, because the solvers' counts
 # react to the last bit of a gradient.
@@ -394,6 +394,22 @@ def _ref_rosen(n):
     return f, g
 
 
+def _ref_mxhilb(n):
+    i = np.arange(n)
+    hilb = 1.0 / (i[:, None] + i[None, :] + 1.0)
+
+    def f(x):
+        return np.abs(hilb @ x).max()
+
+    def g(x):
+        t = hilb @ x
+        k = int(np.argmax(np.abs(t)))
+        s = 1.0 if t[k] >= 0 else -1.0
+        return s * hilb[k]
+
+    return f, g
+
+
 def _ref_tilted_norm(n):
     w = 4.0
 
@@ -427,6 +443,7 @@ def _ref_partly_smooth(n):
 
 _REFERENCE_BODIES = {
     "TiltedNorm": _ref_tilted_norm,
+    "MXHILB": _ref_mxhilb,
     "ChainedLQ": _ref_chained_lq,
     "ChainedCB3I": _ref_chained_cb3_1,
     "ChainedCB3II": _ref_chained_cb3_2,
@@ -454,7 +471,8 @@ def reference_problem(name: str, n: int | None = None) -> ObjectiveOracle:
 # overhead was cut
 # ---------------------------------------------------------------------------
 # Verbatim copies of `bgs.select_indices`, the input handling of
-# `SimplexQpInstance` and the point-by-point loop of `bgs.build_initial_model`.
+# `SimplexQpInstance`, the point-by-point loop of `bgs.build_initial_model`
+# with its `linearization_error`, and `sampling.sample_ball`.
 # The program must reproduce them byte for byte: the bundle solver's gradient
 # counts move with the last bit of its model.
 
@@ -504,6 +522,22 @@ def reference_instance_arrays(atoms, errors, penalty_scale) -> tuple[np.ndarray,
     return atoms, errors, float(penalty_scale)
 
 
+def _ref_linearization_error(f_xk: float, f_s: float, g_s: np.ndarray, x_k: np.ndarray,
+                             s: np.ndarray, strict: bool = True) -> float:
+    plane = f_s + float(g_s @ (x_k - s))
+    e = f_xk - plane
+    if e >= 0.0:
+        return e
+    if not strict:
+        return 0.0
+    floor = 1e-12 * max(1.0, abs(f_xk), abs(f_s) + abs(float(g_s @ (x_k - s))))
+    if e < -floor:
+        raise ConvexityError(
+            f"linearization error {e} below -{floor}: non-convex or broken oracle"
+        )
+    return 0.0
+
+
 def reference_build_initial_model(oracle: ObjectiveOracle, x_k: np.ndarray, eps_k: float,
                                   m: int, rng: np.random.Generator, f_xk: float | None = None,
                                   mode: GradientMode | None = None) -> np.ndarray:
@@ -514,15 +548,31 @@ def reference_build_initial_model(oracle: ObjectiveOracle, x_k: np.ndarray, eps_
         f_xk = oracle.f(x_k)
     rows = np.zeros((m + 1, x_k.size + 1))
     rows[0, :-1] = gradient(oracle, mode, x_k)
-    for row, s in zip(rows[1:], sample_ball(x_k, eps_k, m, rng)):
+    for row, s in zip(rows[1:], reference_sample_ball(x_k, eps_k, m, rng)):
         for attempt in range(2):
             try:
                 g_s = gradient(oracle, mode, s)
-                e_s = linearization_error(f_xk, oracle.f(s), g_s, x_k, s, strict)
+                e_s = _ref_linearization_error(f_xk, oracle.f(s), g_s, x_k, s, strict)
                 break
             except EvaluationError:
                 if attempt == 1:
                     raise
-                s = sample_ball(x_k, eps_k, 1, rng)[0]
+                s = reference_sample_ball(x_k, eps_k, 1, rng)[0]
         row[:-1], row[-1] = g_s, e_s
     return rows
+
+
+def reference_sample_ball(center: np.ndarray, radius: float, count: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """`sampling.sample_ball` as it stood before it worked in place."""
+    center = np.asarray(center, dtype=float)
+    n = center.size
+    if count <= 0:
+        return np.empty((0, n))
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    dirs = rng.standard_normal((count, n))
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = radius * rng.random(count) ** (1.0 / n)
+    return center + dirs / norms * radii[:, None]

@@ -76,7 +76,7 @@ class TestBuildInitialModel:
     def test_single_atom(self):
         o = quadratic_oracle(2)
         x = np.array([1.0, 1.0])
-        rows = build_initial_model(o, x, 0.5, 0, np.random.default_rng(0))
+        rows, _ = build_initial_model(o, x, 0.5, 0, np.random.default_rng(0))
         assert len(rows) == 1
         assert rows[0, -1] == 0.0
         np.testing.assert_array_equal(rows[0, :-1], o.grad(x))
@@ -84,7 +84,7 @@ class TestBuildInitialModel:
     def test_row_zero_is_the_gradient_at_x_k(self):
         o = make_problem("MAXQ-gen", 3)
         x = np.array([0.5, -1.0, 2.0])
-        rows = build_initial_model(o, x, 0.5, 4, np.random.default_rng(3))
+        rows, _ = build_initial_model(o, x, 0.5, 4, np.random.default_rng(3))
         assert rows.shape == (5, 4)
         np.testing.assert_array_equal(rows[0, :-1], o.grad(x))
         assert rows[0, -1] == 0.0
@@ -93,14 +93,14 @@ class TestBuildInitialModel:
         # for f = ||x||^2 the error equals ||x - s||^2 <= eps^2
         o = quadratic_oracle(4)
         eps = 0.3
-        rows = build_initial_model(o, np.ones(4), eps, 12, np.random.default_rng(1))
+        rows, _ = build_initial_model(o, np.ones(4), eps, 12, np.random.default_rng(1))
         assert len(rows) == 13
         for err in rows[1:, -1]:
             assert -1e-14 <= err <= eps ** 2 * (1 + 1e-9)
 
     def test_maxq_errors_nonnegative(self):
         o = make_problem("MAXQ-gen", 2)
-        rows = build_initial_model(o, np.array([1.0, 1.0]), 0.5, 4, np.random.default_rng(2))
+        rows, _ = build_initial_model(o, np.array([1.0, 1.0]), 0.5, 4, np.random.default_rng(2))
         assert all(err >= 0.0 for err in rows[:, -1])
 
 
@@ -403,39 +403,115 @@ def test_select_indices_orders_ties_and_signed_zeros_by_position():
 @pytest.mark.parametrize("problem", range(1, 9))
 def test_initial_model_matches_the_point_by_point_loop(problem, n):
     oracle = make_problem(str(problem), n)
-    m = {2: 4, 50: 5, 500: 50}[n]
     x = perturb_start(oracle.x0, n, np.random.default_rng([3, 1]))
     f_x = oracle.f(x)
-    for eps in (1.0, 1e-3):
-        rng, ref_rng = np.random.default_rng(problem), np.random.default_rng(problem)
-        rows = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x)
-        want = reference_build_initial_model(oracle, x, eps, m, ref_rng, f_xk=f_x)
-        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for m in (0, {2: 4, 50: 5, 500: 50}[n]):
+        for eps in (1.0, 1e-3):
+            rng, ref_rng = np.random.default_rng(problem), np.random.default_rng(problem)
+            rows, spent = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x)
+            want = reference_build_initial_model(oracle, x, eps, m, ref_rng, f_xk=f_x)
+            assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert spent == m + 1
 
 
-def test_initial_model_makes_one_block_call_and_one_gradient_call_per_row(monkeypatch):
+def _tilted_plane(delta: float) -> ObjectiveOracle:
+    """f = 1 + a.x - delta ||x||^2: a plane bent down by delta, whose error at
+    the origin for a sample s is -delta ||s||^2 plus round-off."""
+    a = np.array([0.3, -0.2, 0.1])
+    return ObjectiveOracle("bent-plane", 3, 0.0, np.zeros(3),
+                           lambda x: 1.0 + float(a @ x) - delta * float(x @ x),
+                           lambda x: a - 2.0 * delta * x)
+
+
+def _bent_and_broken() -> ObjectiveOracle:
+    """The bent plane with a NaN gradient where x_0 > 0.5: rows past the
+    noise floor and bad points in one model."""
+    bent = _tilted_plane(1.5e-12)
+    return replace(bent, name="bent-broken", eval_grad=lambda x: (
+        np.full(3, np.nan) if x[0] > 0.5 else bent.eval_grad(x)))
+
+
+def _model_or_error(build, oracle, seed, m, mode, f_xk=None):
+    rng = np.random.default_rng(seed)
+    try:
+        out = build(oracle, np.zeros(oracle.dimension), 1.0, m, rng, f_xk=f_xk, mode=mode)
+    except (ConvexityError, EvaluationError) as exc:
+        return type(exc), str(exc)
+    rows = out[0] if isinstance(out, tuple) else out
+    return rows.tobytes(), rng.bit_generator.state
+
+
+# delta 0: errors of round-off size on both sides of 0, clamped below 0;
+# delta 1.5e-12: every error below 0, some past the noise floor (1e-12 to
+# 1.7e-12 here), which raises ConvexityError in strict mode for the first
+# such row.  With bad points as well, the error raised is the one the loop
+# meets first.  The sets are the outcomes of 200 seeds in strict mode;
+# forward differences clamp every error and never call the broken
+# gradient, so they always give rows.
+@pytest.mark.parametrize("oracle,strict_outcomes", [
+    (_tilted_plane(0.0), {"rows"}),
+    (_tilted_plane(1.5e-12), {"rows", "ConvexityError"}),
+    (_bent_and_broken(), {"rows", "ConvexityError", "EvaluationError"})],
+    ids=["plane", "floor", "bent-broken"])
+@pytest.mark.parametrize("mode", [GradientMode.exact(), GradientMode.forward(1e-7)],
+                         ids=["exact", "forward"])
+def test_initial_model_errors_match_the_loop_at_the_clamp_and_the_floor(
+        oracle, strict_outcomes, mode):
+    seen = {"rows": 0, "clamped": 0, "ConvexityError": 0, "EvaluationError": 0}
+    for seed in range(200):
+        got = _model_or_error(build_initial_model, oracle, seed, 6, mode)
+        want = _model_or_error(reference_build_initial_model, oracle, seed, 6, mode)
+        assert got == want, seed
+        if isinstance(want[0], bytes):
+            seen["rows"] += 1
+            seen["clamped"] += int((np.frombuffer(want[0]).reshape(7, 4)[1:, -1] == 0.0).any())
+        else:
+            seen[want[0].__name__] += 1
+    outcomes = {k for k, v in seen.items() if v and k != "clamped"}
+    assert outcomes == (strict_outcomes if mode.kind == "exact" else {"rows"}), seen
+    assert seen["clamped"], seen
+
+
+def test_initial_model_keeps_an_error_of_minus_zero():
+    # f = 0 with a zero gradient: f_xk = -0.0 gives the error -0.0 - (0.0 + 0.0)
+    flat = ObjectiveOracle("flat", 2, 0.0, np.zeros(2), lambda x: 0.0, lambda x: np.zeros(2))
+    for mode in (GradientMode.exact(), GradientMode.forward(1e-7)):
+        got = _model_or_error(build_initial_model, flat, 0, 3, mode, f_xk=-0.0)
+        want = _model_or_error(reference_build_initial_model, flat, 0, 3, mode, f_xk=-0.0)
+        assert got == want
+        errors = np.frombuffer(got[0]).reshape(4, 3)[1:, -1]
+        assert all(math.copysign(1.0, e) == -1.0 for e in errors), errors
+
+
+def test_initial_model_makes_one_paired_call_and_one_value_and_gradient_call_per_row(
+        monkeypatch):
     oracle = make_problem("ChainedLQ", 10)
-    calls = {"grad_rows": 0, "eval_grad": 0}
+    calls = {"value_grad_rows": 0, "eval_f": 0, "eval_grad": 0}
 
-    def eval_grad(x):
-        calls["eval_grad"] += 1
-        return oracle.eval_grad(x)
+    def counted(key, fn):
+        def call(x):
+            calls[key] += 1
+            return fn(x)
+        return call
 
-    grad_rows = ObjectiveOracle.grad_rows
+    paired = ObjectiveOracle.value_grad_rows
 
-    def block(self, X):
-        calls["grad_rows"] += 1
-        return grad_rows(self, X)
+    def block(self, X, out=None):
+        calls["value_grad_rows"] += 1
+        return paired(self, X, out)
 
-    monkeypatch.setattr(ObjectiveOracle, "grad_rows", block)
-    counted = replace(oracle, eval_grad=eval_grad)
-    build_initial_model(counted, oracle.x0, 0.5, 7, np.random.default_rng(0))
-    assert calls == {"grad_rows": 1, "eval_grad": 8}
+    monkeypatch.setattr(ObjectiveOracle, "value_grad_rows", block)
+    monkeypatch.setattr(ObjectiveOracle, "grad_rows", None)
+    probe = replace(oracle, eval_f=counted("eval_f", oracle.eval_f),
+                    eval_grad=counted("eval_grad", oracle.eval_grad))
+    x = oracle.x0
+    _, spent = build_initial_model(probe, x, 0.5, 7, np.random.default_rng(0), f_xk=oracle.f(x))
+    assert calls == {"value_grad_rows": 1, "eval_f": 7, "eval_grad": 8} and spent == 8
     # forward differences never use the block
-    build_initial_model(counted, oracle.x0, 0.5, 7, np.random.default_rng(0),
+    build_initial_model(probe, x, 0.5, 7, np.random.default_rng(0), f_xk=oracle.f(x),
                         mode=GradientMode.forward(1e-8))
-    assert calls == {"grad_rows": 1, "eval_grad": 8}
+    assert calls["value_grad_rows"] == 1 and calls["eval_grad"] == 8
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +548,7 @@ def test_initial_model_resamples_a_bad_point_once(broken, mode):
                 build_initial_model(oracle, x, eps, m, rng, mode=mode)
             seen["raised"] += 1
             continue
-        rows = build_initial_model(oracle, x, eps, m, rng, mode=mode)
+        rows, spent = build_initial_model(oracle, x, eps, m, rng, mode=mode)
         assert rows.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         # each bad sample is replaced by the next single draw from the ball
@@ -486,6 +562,8 @@ def test_initial_model_resamples_a_bad_point_once(broken, mode):
             else:
                 np.testing.assert_allclose(rows[j + 1, :-1], fresh, atol=1e-5)
         assert draw.bit_generator.state == rng.bit_generator.state
+        # a replaced point costs one more gradient
+        assert spent == m + 1 + len(bad)
         seen["resampled" if bad else "clean"] += 1
     # every branch of the rule was taken
     assert min(seen.values()) > 0, seen

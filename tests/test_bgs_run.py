@@ -1,10 +1,13 @@
 """Full solver runs: smoke convergence, trace invariants, determinism."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import huge_gradient_oracle, quadratic_oracle
 
-from bundlegs import bgs
+from bundlegs import bgs, gs
 from bundlegs.bgs import QpFailureError, SolverConfig, StepKind, run
 from bundlegs.harness import perturb_start
 from bundlegs.problems import GradientMode, make_problem
@@ -35,6 +38,21 @@ def test_grad_eval_accounting():
                       if r.kind in (StepKind.INNER_ENRICH, StepKind.NULL_STEP))
     assert res.grad_evals == outers * (m + 1) + inner_extra
     assert res.grad_evals == res.trace[-1].grad_evals_cum
+
+
+def test_grad_evals_count_every_gradient_the_oracle_computes():
+    # f = ||x||^2 from (1, 1) with a NaN gradient where x_0 > 1.6: the first
+    # balls reach past that line, and each bad sample is drawn again
+    calls = []
+
+    def eval_grad(x):
+        calls.append(x[0] > 1.6)
+        return np.full(2, np.nan) if x[0] > 1.6 else 2.0 * x
+
+    oracle = replace(quadratic_oracle(2), eval_grad=eval_grad)
+    res = run(oracle, SolverConfig(seed=0, m=4))
+    assert any(calls)
+    assert res.grad_evals == len(calls) == res.trace[-1].grad_evals_cum
 
 
 def test_trace_invariants_across_problems():
@@ -249,6 +267,25 @@ def test_rosen_trajectory_pinned(mode, grad_evals, f_hex):
     assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)
 
 
+# seed 0 of two bgs_large solves: n=500, default m=50, stop at relative
+# error 5e-3
+LARGE_PINS = [
+    ("MXHILB", 3502, "0x1.3f87570aa46f8p-8"),
+    ("ChainedCB3I", 4405, "0x1.f56c74c0d097dp+9"),
+]
+
+
+@pytest.mark.parametrize("name,grad_evals,f_hex", LARGE_PINS, ids=[p[0] for p in LARGE_PINS])
+def test_large_trajectory_pinned(name, grad_evals, f_hex):
+    oracle = make_problem(name, 500)
+    start = perturb_start(oracle.x0, 500, np.random.default_rng([0, 1]))
+    res = run(oracle, SolverConfig(seed=0), start,
+              stop_callback=lambda rec: (rec.f_val - oracle.f_star)
+              / (abs(oracle.f_star) + 1.0) <= 5e-3)
+    assert res.stop_reason == "callback"
+    assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)
+
+
 # theta=1 keeps every row, so the enrichment models outgrow the first
 # buffers run() sets aside for them (2m + 6 rows)
 GROWTH_PINS = [
@@ -272,3 +309,22 @@ def test_long_model_trajectory_pinned(monkeypatch, name, n, m, grad_evals, f_hex
     res = run(oracle, SolverConfig(seed=1, m=m, theta=1.0, max_outer=40))
     assert max(atoms) > 2 * m + 6
     assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)
+
+
+# ---------------------------------------------------------------------------
+# warnings as errors: a numpy warning anywhere on the solvers' paths fails
+# here, on every scalable problem in both gradient modes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [GradientMode.exact(), GradientMode.forward(1e-8)],
+                         ids=["exact", "forward"])
+@pytest.mark.parametrize("problem", range(1, 9))
+def test_solvers_raise_no_warning(problem, mode):
+    oracle = make_problem(str(problem), 5)
+    start = perturb_start(oracle.x0, 5, np.random.default_rng([0, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(oracle, SolverConfig(seed=0, max_outer=40), start, grad_mode=mode)
+        base = gs.gs_run(oracle, gs.GsConfig(seed=0, max_iters=40), start, grad_mode=mode)
+    assert res.grad_evals > 0 and base.grad_evals > 0

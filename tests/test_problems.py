@@ -409,6 +409,12 @@ def test_oracle_grad_and_grad_rows_never_warn():
         assert _same_array(oracle.grad_rows(X), X)
         with pytest.raises(EvaluationError, match="at row 1 of a block of 2"):
             oracle.grad_rows(np.array([[1e308, 1e308], [np.inf, -np.inf]]))
+        # f is the first coordinate: a value that is not finite fails its row too
+        first = replace(oracle, eval_f=lambda x: float(x[0]))
+        F, bad = first.value_grad_rows(X)
+        assert bad == [] and _same_array(F, X[:, 0])
+        X = np.array([[np.inf, -np.inf], [1.0, 2.0], [1.0, np.nan], [np.nan, 1.0]])
+        assert first.value_grad_rows(X)[1] == [0, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +437,13 @@ def test_grad_rows_byte_equal_to_grad(name, n):
         for x in refused:
             with pytest.raises(EvaluationError, match="non-finite gradient at row 1"):
                 oracle.grad_rows(np.array([oracle.x0, x]))
+        # the paired block: f and grad row by row, into the caller's array
+        out = np.empty((len(accepted), oracle.dimension))
+        F, bad = oracle.value_grad_rows(np.array(accepted), out=out)
+        assert bad == [] and _same_array(out, G)
+        assert _same_array(F, np.array([oracle.f(x) for x in accepted]))
+        for x in refused:
+            assert oracle.value_grad_rows(np.array([oracle.x0, x, oracle.x0]))[1] == [1]
 
 
 def test_grad_rows_calls_eval_grad_once_per_row():
@@ -446,6 +459,23 @@ def test_grad_rows_calls_eval_grad_once_per_row():
     assert len(calls) == 21
     np.testing.assert_array_equal(np.array(calls), X)
     assert _same_array(G, np.array([oracle.grad(x) for x in X]))
+
+
+def test_value_grad_rows_calls_eval_grad_then_eval_f_once_per_row():
+    oracle = make_problem("ChainedCB3I", 10)
+    calls = []
+
+    def counted(key, fn):
+        def call(x):
+            calls.append((key, x.copy()))
+            return fn(x)
+        return call
+
+    X = np.random.default_rng(5).standard_normal((21, 10))
+    F, bad = replace(oracle, eval_f=counted("f", oracle.eval_f),
+                     eval_grad=counted("grad", oracle.eval_grad)).value_grad_rows(X)
+    assert [key for key, _ in calls] == ["grad", "f"] * 21 and bad == []
+    np.testing.assert_array_equal(np.array([x for _, x in calls]), np.repeat(X, 2, axis=0))
 
 
 def _identity_gradient_oracle(n):
@@ -505,3 +535,34 @@ def test_rosen_ties_take_the_lowest_piece(x, want):
 @pytest.mark.parametrize("x,want", QL_TIES, ids=["1-2", "1-3", "2-3"])
 def test_ql_ties_take_the_lowest_piece(x, want):
     np.testing.assert_array_equal(make_problem("QL").grad(np.array(x)), want)
+
+
+# ---------------------------------------------------------------------------
+# MXHILB: f and the gradient share the Hilbert product of the last point
+# ---------------------------------------------------------------------------
+
+
+def test_mxhilb_shared_product_byte_equal_over_call_sequences():
+    new, ref = make_problem("MXHILB", 50), reference_problem("MXHILB", 50)
+    rng = np.random.default_rng(53)
+    x, y = rng.standard_normal(50), rng.standard_normal(50)
+    calls = [("f", x), ("grad", x), ("grad", y), ("f", x), ("f", x), ("grad", y)]
+    for key, point in calls:
+        fn = "eval_f" if key == "f" else "eval_grad"
+        got, want = getattr(new, fn)(point), getattr(ref, fn)(point)
+        assert (_same_value(got, want) if key == "f" else _same_array(got, want)), key
+    # a point changed in place between calls is a new point
+    z = x.copy()
+    for _ in range(5):
+        assert _same_value(new.eval_f(z), ref.eval_f(z))
+        z[int(rng.integers(50))] += 1e-3
+        assert _same_array(new.eval_grad(z), ref.eval_grad(z))
+        z[int(rng.integers(50))] = -z[0]
+        assert _same_value(new.eval_f(z), ref.eval_f(z))
+    # +0.0 and -0.0 have other bytes, and each gets its own product
+    zeros = [np.zeros(50), -np.zeros(50), np.resize([0.0, -0.0], 50), np.resize([-0.0, 1e-300], 50)]
+    for a in zeros:
+        for b in zeros:
+            for point in (a, b):
+                assert _same_value(new.eval_f(point), ref.eval_f(point))
+                assert _same_array(new.eval_grad(point), ref.eval_grad(point))

@@ -613,6 +613,22 @@ def test_finite_check_never_warns():
         assert qp._all_finite(a[::2]) and not qp._all_finite(a[1::2])
 
 
+def test_warm_start_whose_sum_overflows_falls_back_to_the_cold_start():
+    inst = SimplexQpInstance([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], [0.0, 0.5, 0.25], 1.0)
+    cold = solve_simplex_qp(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for warm in ([1e308, 1e308, 0.0], [1e308, 1e308, 1e308], [8e307, 8e307, -1.0],
+                     [np.nan, 1.0, 1.0], [np.inf, 1.0, 0.0]):
+            got = solve_simplex_qp(inst, warm_start=np.array(warm))
+            assert got.lam.tobytes() == cold.lam.tobytes(), warm
+            assert got.iterations == cold.iterations, warm
+        # a large warm start whose sum is finite is still used
+        big = solve_simplex_qp(inst, warm_start=np.array([1e307, 0.0, 1e307]))
+    assert big.lam.tobytes() == reference_solve_simplex_qp(
+        inst, warm_start=np.array([1e307, 0.0, 1e307])).lam.tobytes()
+
+
 def test_instance_with_overflowing_sum_accepted_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,6 +1,8 @@
 """Uniform ball sampling: support, radial law, determinism."""
 
 import numpy as np
+import pytest
+from helpers import reference_sample_ball
 
 from bundlegs.sampling import sample_ball
 
@@ -32,3 +34,38 @@ def test_deterministic_given_seed():
     a = sample_ball(np.ones(5), 2.0, 50, np.random.default_rng(99))
     b = sample_ball(np.ones(5), 2.0, 50, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("count,n", [(8, 4), (5, 50), (100, 50), (50, 500)])
+def test_byte_equal_to_the_old_body(count, n):
+    rng, ref_rng = np.random.default_rng(count * n), np.random.default_rng(count * n)
+    for radius in (1.0, 1e-3, 7.5):
+        center = rng.standard_normal(n)
+        ref_rng.standard_normal(n)
+        got = sample_ball(center, radius, count, rng)
+        want = reference_sample_ball(center, radius, count, ref_rng)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _Draws:
+    """A generator whose normal draws are given: one direction of norm 0."""
+
+    def __init__(self, dirs, u):
+        self.dirs, self.u = dirs, u
+
+    def standard_normal(self, shape):
+        return self.dirs.copy().reshape(shape)
+
+    def random(self, count):
+        return self.u[:count].copy()
+
+
+def test_zero_norm_draw_byte_equal_to_the_old_body():
+    dirs = np.array([[0.3, -1.2, 0.5], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [2.0, 1.0, -2.0]])
+    u = np.array([0.25, 0.5, 0.75, 0.125])
+    center = np.array([1.0, -0.0, 3.0])
+    got = sample_ball(center, 0.5, 4, _Draws(dirs, u))
+    want = reference_sample_ball(center, 0.5, 4, _Draws(dirs, u))
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(got[1], center)
