@@ -10,8 +10,8 @@ or gives up and shrinks the sampling radius (a null step).
 
 The model is one array of rows [g_j, e_j]: a gradient and its linearization
 error at x_k.  Row 0 holds the gradient at x_k itself (error 0) and stays
-first; with exact gradients the m sampled points get their values and
-gradients from one `ObjectiveOracle.value_grad_rows` call, and their errors
+first; the m sampled points get their values and gradients from one
+`problems.sample_rows` call in either gradient mode, and their errors
 are taken at once (see `build_initial_model`).  An
 enrichment keeps the rows whose multipliers carry the weight theta
 (`select_indices`), stacks the new cut and the prior aggregate below them in
@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problems import EvaluationError, GradientMode, ObjectiveOracle, gradient
+from .problems import EvaluationError, GradientMode, ObjectiveOracle, gradient, sample_rows
 from .qp import QpFailureError, SimplexQpInstance, SimplexQpSolution, solve_simplex_qp
 from .sampling import sample_ball
 
@@ -47,6 +47,9 @@ from .sampling import sample_ball
 # "inner_limit": a guard against a hang, far above where `model_stalled`
 # ends a chain
 _INNER_LIMIT_FACTOR = 500
+
+# trials of `fdp_perturb`, each at half the previous radius, before it gives up
+_FDP_MAX_HALVINGS = 64
 
 
 class ConvexityError(RuntimeError):
@@ -248,46 +251,35 @@ def build_initial_model(
 ) -> tuple[np.ndarray, int]:
     """Rows [g_j, e_j]: row 0 at x_k (error 0) plus m sampled rows, and the gradients spent.
 
-    With exact gradients the m sampled points are evaluated by one
-    `oracle.value_grad_rows` call, one `eval_grad` and one `eval_f` call per
-    row; forward differences go point by point.  A point whose gradient or
+    The m sampled points are evaluated by one `sample_rows` call, which also
+    gives their values, in either gradient mode.  A point whose gradient or
     objective value is not finite is replaced by one fresh draw from the
-    ball, the bad points in index order, and a second failure raises
-    EvaluationError.  The m errors are then taken at once.  The rows and the
-    draws from `rng` are those of a loop that takes the points one at a
-    time, and an error raised is the one that loop raises first.  Every
-    evaluated point costs one gradient: m + 1 plus one per replaced point.
+    ball, the bad points in index order, each evaluated by its own call, and
+    a second failure raises EvaluationError.  The m errors are then taken at
+    once.  The rows and the draws from `rng` are those of a loop that takes
+    the points one at a time, and an error raised is the one that loop
+    raises first.  Every evaluated point costs one gradient: m + 1 plus one
+    per replaced point.
     """
     mode = mode or GradientMode.exact()
-    strict = mode.kind == "exact"
     x_k = np.asarray(x_k, dtype=float)
     if f_xk is None:
         f_xk = oracle.f(x_k)
     rows = np.zeros((m + 1, x_k.size + 1))
     rows[0, :-1] = gradient(oracle, mode, x_k)
-    G = rows[1:, :-1]
+    G, F = rows[1:, :-1], np.empty(m)
     points = sample_ball(x_k, eps_k, m, rng)
-    if strict:
-        F, bad = oracle.value_grad_rows(points, out=G)
-    else:
-        F, bad = np.empty(m), []
-        for j, s in enumerate(points):
-            try:
-                G[j] = gradient(oracle, mode, s)
-                F[j] = oracle.f(s)
-            except EvaluationError:
-                bad.append(j)
+    bad = sample_rows(oracle, mode, points, G, F)
     for j in bad:
-        s = sample_ball(x_k, eps_k, 1, rng)[0]
-        try:
-            G[j] = gradient(oracle, mode, s)
-            F[j] = oracle.f(s)
-        except EvaluationError:
-            # one at a time, a non-convex row before j would have raised first
-            _linearization_errors(f_xk, F[:j], G[:j], x_k, points[:j], strict)
-            raise
-        points[j] = s
-    rows[1:, -1] = _linearization_errors(f_xk, F, G, x_k, points, strict)
+        s = sample_ball(x_k, eps_k, 1, rng)
+        if sample_rows(oracle, mode, s, G[j:j + 1], F[j:j + 1]):
+            # one at a time, a non-convex row before j would have raised
+            # first, and a bad gradient before a bad value
+            _linearization_errors(f_xk, F[:j], G[:j], x_k, points[:j], mode.strict)
+            what = "objective value" if np.isfinite(G[j]).all() else "gradient"
+            raise EvaluationError(f"{oracle.name}: non-finite {what} at x={s[0]!r}")
+        points[j] = s[0]
+    rows[1:, -1] = _linearization_errors(f_xk, F, G, x_k, points, mode.strict)
     return rows, m + 1 + len(bad)
 
 
@@ -355,7 +347,6 @@ def fdp_perturb(
     sigma: float,
     mode: str,
     rng: np.random.Generator,
-    max_halvings: int = 64,
 ) -> np.ndarray:
     """Differentiable perturbation of x + d that preserves the step's status.
 
@@ -378,12 +369,12 @@ def fdp_perturb(
 
     x_hat = x
     sigma_hat = sigma
-    for _ in range(max_halvings):
+    for _ in range(_FDP_MAX_HALVINGS):
         if acceptable(x_hat + d):
             return x_hat + d
         x_hat = sample_ball(x, sigma_hat, 1, rng)[0]
         sigma_hat *= 0.5
-    warnings.warn(f"{mode}: no acceptable perturbation within {max_halvings} trials")
+    warnings.warn(f"{mode}: no acceptable perturbation within {_FDP_MAX_HALVINGS} trials")
     return x_hat + d
 
 
@@ -496,7 +487,7 @@ def run(
     guards against a hang (stop reason "inner_limit").
     """
     mode = grad_mode or GradientMode.exact()
-    strict = mode.kind == "exact"
+    strict = mode.strict
     checks = config.differentiability_checks
     x = np.array(x0 if x0 is not None else oracle.x0, dtype=float)
     if x.size != oracle.dimension or not np.all(np.isfinite(x)):

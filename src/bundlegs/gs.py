@@ -10,10 +10,11 @@ point is nearly zero or the line search fails.  Used as the
 gradient-evaluation-count comparison baseline; its line-search constants are
 conventional choices and are all config-exposed.
 
-With exact gradients the sampled points are evaluated as one block by
-`ObjectiveOracle.grad_rows`, which still makes one `eval_grad` call per point
-but checks the block for non-finite entries once; forward differences run
-`gradient` point by point.
+The gradient at x_k and the sampled block, evaluated by one
+`problems.sample_rows` call in either gradient mode, go into one
+preallocated (m+1, n) array; the sampled points' values are not asked for,
+so forward differences spend n + 1 objective values per point and exact
+gradients none.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bgs import RunResult
-from .problems import GradientMode, ObjectiveOracle, gradient
+from .problems import EvaluationError, GradientMode, ObjectiveOracle, gradient, sample_rows
 # solve_simplex_qp and SimplexQpInstance stay importable from here: perfbench's
 # probe looks both up on this module by name
 from .qp import QpFailureError, SimplexQpInstance, min_norm_point, solve_simplex_qp  # noqa: F401
@@ -96,19 +97,21 @@ def gs_run(
     trace: list[GsTraceRecord] = []
     stop_reason = None
     iters = 0
+    # row 0 the gradient at x_k, then the sampled block
+    grads = np.empty((sample_size + 1, n))
 
     for k in range(config.max_iters):
         if eps < config.min_radius:
             stop_reason = "radius_floor"
             break
         iters += 1
-        g_x = gradient(oracle, mode, x)
+        grads[0] = gradient(oracle, mode, x)
         points = sample_ball(x, eps, sample_size, rng)
-        if mode.kind == "exact":
-            sampled = oracle.grad_rows(points)
-        else:
-            sampled = [gradient(oracle, mode, p) for p in points]
-        grads = np.vstack((g_x, sampled))
+        bad = sample_rows(oracle, mode, points, grads[1:])
+        if bad:
+            i = bad[0]
+            raise EvaluationError(f"{oracle.name}: non-finite gradient at row {i} of a block "
+                                  f"of {sample_size} points, x={points[i]!r}")
         g_evals += sample_size + 1
 
         sol = min_norm_point(grads)

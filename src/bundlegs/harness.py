@@ -37,8 +37,6 @@ class ExperimentSpec:
     seed_base: int = 0
     output: Optional[str] = None
     format: str = "csv"
-    max_iters: int = 1000
-    min_radius: float = 1e-12
     solver_options: dict = field(default_factory=dict)
     fd_step: Optional[float] = None  # forward differences when set
     trace_path: Optional[str] = None
@@ -114,14 +112,10 @@ def _single_run(spec: ExperimentSpec, oracle: ObjectiveOracle, seed: int,
     aborted = None
     try:
         if spec.solver == "bgs":
-            config = bgs.SolverConfig(seed=seed, max_outer=spec.max_iters,
-                                      min_radius=spec.min_radius,
-                                      **spec.solver_options)
+            config = bgs.SolverConfig(seed=seed, **spec.solver_options)
             result = bgs.run(oracle, config, start, grad_mode=mode, stop_callback=stop)
         else:
-            config = gs.GsConfig(seed=seed, max_iters=spec.max_iters,
-                                 min_radius=spec.min_radius,
-                                 **spec.solver_options)
+            config = gs.GsConfig(seed=seed, **spec.solver_options)
             result = gs.gs_run(oracle, config, start, grad_mode=mode, stop_callback=stop)
     except (bgs.QpFailureError, bgs.ConvexityError, EvaluationError) as exc:
         aborted = str(exc)

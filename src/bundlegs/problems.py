@@ -18,6 +18,10 @@ solvers ask for both at one point one after the other.  Their outputs are pinned
 byte for byte, including the sign of zero, to the plain bodies kept in
 `tests/helpers.py`, because the solvers' gradient counts react to the last
 bit of a gradient.
+
+`gradient` evaluates one point and `sample_rows` a block of sampled points,
+exactly or by forward differences; the solvers leave that choice to them,
+and both run the one difference loop, `_forward_differences`.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ class GradientMode:
         if self.kind == "forward" and not self.h > 0:
             raise ValueError("forward-difference step h must be positive")
 
+    @property
+    def strict(self) -> bool:
+        """Whether a linearization error below its noise floor is an error:
+        only exact gradients are held to it."""
+        return self.kind == "exact"
+
     @staticmethod
     def exact() -> "GradientMode":
         return GradientMode("exact")
@@ -71,10 +81,9 @@ class ObjectiveOracle:
         smooth_at: optional predicate that is True away from the kink set;
             used only when differentiability checks are enabled.
 
-    `grad` evaluates one point and `grad_rows` a block of points, one
-    `eval_grad` call per row in both, so a wrapper around `eval_grad` counts
-    every gradient the solvers use.  `value_grad_rows` pairs each row's
-    gradient with its value, one `eval_grad` and one `eval_f` call per row.
+    `grad` evaluates one point with one `eval_grad` call, so a wrapper
+    around `eval_grad` counts every gradient the solvers use; a block of
+    sampled points goes through `sample_rows`.
     """
 
     name: str
@@ -97,53 +106,10 @@ class ObjectiveOracle:
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x!r}")
         return g
 
-    def grad_rows(self, X: np.ndarray) -> np.ndarray:
-        """Gradients at the rows of X as an (m, n) array, row i byte-equal to grad(X[i]).
-
-        One finite check covers the whole block, so a non-finite row is
-        reported only after every row has been evaluated.
-        """
-        X = np.asarray(X, dtype=float)
-        G = np.empty((len(X), self.dimension))
-        eval_grad = self.eval_grad
-        for i, x in enumerate(X):
-            G[i] = eval_grad(x)
-        if not _all_finite(G):
-            i = int(np.flatnonzero(~np.isfinite(G).all(axis=1))[0])
-            raise EvaluationError(f"{self.name}: non-finite gradient at row {i} of a block "
-                                  f"of {len(X)} points, x={X[i]!r}")
-        return G
-
-    def value_grad_rows(self, X: np.ndarray, out: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, list[int]]:
-        """Values and gradients at the rows of X, and the rows where either is not finite.
-
-        Returns (F, bad): F[i] equals f(X[i]) and the gradients, row i
-        byte-equal to grad(X[i]), go into `out` (an (m, n) array, new when
-        None).  Each row makes one `eval_grad` call and then one `eval_f`
-        call at the same point, and one finite check covers the block; the
-        rows listed in `bad`, in increasing order, hold whatever the bodies
-        returned.
-        """
-        X = np.asarray(X, dtype=float)
-        G = np.empty((len(X), self.dimension)) if out is None else out
-        F = np.empty(len(X))
-        eval_f, eval_grad = self.eval_f, self.eval_grad
-        for i, x in enumerate(X):
-            G[i] = eval_grad(x)
-            F[i] = eval_f(x)
-        if _all_finite(G) and _all_finite(F):
-            return F, []
-        return F, np.flatnonzero(~(np.isfinite(G).all(axis=1) & np.isfinite(F))).tolist()
-
     def differentiable_at(self, x: np.ndarray) -> bool:
-        if self.smooth_at is not None:
-            return bool(self.smooth_at(np.asarray(x, dtype=float)))
-        try:
-            self.grad(x)
-        except EvaluationError:
-            return False
-        return True
+        """`smooth_at` where the problem has it; without it every point counts
+        as smooth, as the samplers assume, and no gradient is spent."""
+        return self.smooth_at is None or bool(self.smooth_at(np.asarray(x, dtype=float)))
 
 
 def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray) -> np.ndarray:
@@ -155,16 +121,56 @@ def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray) -> np.n
     x = np.asarray(x, dtype=float)
     if mode.kind == "exact":
         return oracle.grad(x)
-    h = mode.h
-    f0 = oracle.f(x)
     g = np.empty(x.size)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        g[i] = (oracle.f(xp) - f0) / h
+    _forward_differences(oracle.eval_f, mode.h, x, g)
     if not _all_finite(g):
         raise EvaluationError(f"{oracle.name}: non-finite forward-difference gradient")
     return g
+
+
+def sample_rows(oracle: ObjectiveOracle, mode: GradientMode, X: np.ndarray,
+                out: np.ndarray, values: np.ndarray | None = None) -> list[int]:
+    """Gradients at the rows of X into `out`, and the rows that are not finite.
+
+    Row i of `out` is byte-equal to gradient(oracle, mode, X[i]) and, when
+    `values` is given, values[i] to oracle.f(X[i]).  With exact gradients
+    each row makes one `eval_grad` call, then one `eval_f` call when
+    `values` is given; with forward differences each row makes its n + 1
+    `eval_f` calls, and f at the row, the base of its differences, is its
+    value.  One finite check covers the block: the rows whose gradient or
+    value is not finite are returned in increasing order and hold whatever
+    the bodies returned.
+    """
+    X = np.asarray(X, dtype=float)
+    eval_f = oracle.eval_f
+    if mode.kind == "exact":
+        eval_grad = oracle.eval_grad
+        for i, x in enumerate(X):
+            out[i] = eval_grad(x)
+            if values is not None:
+                values[i] = eval_f(x)
+    else:
+        for i, x in enumerate(X):
+            base = _forward_differences(eval_f, mode.h, x, out[i])
+            if values is not None:
+                values[i] = base
+    if _all_finite(out) and (values is None or _all_finite(values)):
+        return []
+    ok = np.isfinite(out).all(axis=1)
+    if values is not None:
+        ok &= np.isfinite(values)
+    return np.flatnonzero(~ok).tolist()
+
+
+def _forward_differences(eval_f, h: float, x: np.ndarray, g: np.ndarray) -> float:
+    # g[i] = (f(x + h e_i) - f(x)) / h on Python floats, which raise no numpy
+    # warning on inf - inf; returns the base f(x)
+    f0 = float(eval_f(x))
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += h
+        g[i] = (float(eval_f(xp)) - f0) / h
+    return f0
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +556,6 @@ _ALIASES.update(
         "rosensuzuki": "Rosen",
     }
 )
-
-
-def problem_names() -> list[str]:
-    return list(_REGISTRY)
 
 
 def catalog() -> list[dict]:

@@ -8,6 +8,7 @@ import pytest
 from helpers import (abs_oracle, quadratic_oracle, reference_build_initial_model,
                      reference_select_indices)
 
+from bundlegs import bgs
 from bundlegs.bgs import (
     AggregateAtom,
     ConvexityError,
@@ -484,34 +485,42 @@ def test_initial_model_keeps_an_error_of_minus_zero():
         assert all(math.copysign(1.0, e) == -1.0 for e in errors), errors
 
 
-def test_initial_model_makes_one_paired_call_and_one_value_and_gradient_call_per_row(
-        monkeypatch):
-    oracle = make_problem("ChainedLQ", 10)
-    calls = {"value_grad_rows": 0, "eval_f": 0, "eval_grad": 0}
+def test_initial_model_makes_one_block_call_per_model_in_either_mode(monkeypatch):
+    oracle, n, m = make_problem("ChainedLQ", 10), 10, 7
+    calls = {"sample_rows": 0, "eval_f": 0, "eval_grad": 0}
 
     def counted(key, fn):
-        def call(x):
+        def call(*args):
             calls[key] += 1
-            return fn(x)
+            return fn(*args)
         return call
 
-    paired = ObjectiveOracle.value_grad_rows
-
-    def block(self, X, out=None):
-        calls["value_grad_rows"] += 1
-        return paired(self, X, out)
-
-    monkeypatch.setattr(ObjectiveOracle, "value_grad_rows", block)
-    monkeypatch.setattr(ObjectiveOracle, "grad_rows", None)
+    monkeypatch.setattr(bgs, "sample_rows", counted("sample_rows", bgs.sample_rows))
     probe = replace(oracle, eval_f=counted("eval_f", oracle.eval_f),
                     eval_grad=counted("eval_grad", oracle.eval_grad))
     x = oracle.x0
-    _, spent = build_initial_model(probe, x, 0.5, 7, np.random.default_rng(0), f_xk=oracle.f(x))
-    assert calls == {"value_grad_rows": 1, "eval_f": 7, "eval_grad": 8} and spent == 8
-    # forward differences never use the block
-    build_initial_model(probe, x, 0.5, 7, np.random.default_rng(0), f_xk=oracle.f(x),
-                        mode=GradientMode.forward(1e-8))
-    assert calls["value_grad_rows"] == 1 and calls["eval_grad"] == 8
+    # exact: a gradient at x_k and at each sample, and each sample's value;
+    # forward: n + 1 values at x_k and at each sample, whose base is its value
+    for mode, want in ((GradientMode.exact(), {"eval_f": m, "eval_grad": m + 1}),
+                       (GradientMode.forward(1e-8), {"eval_f": (m + 1) * (n + 1),
+                                                     "eval_grad": 0})):
+        calls.update(dict.fromkeys(calls, 0))
+        _, spent = build_initial_model(probe, x, 0.5, m, np.random.default_rng(0),
+                                       f_xk=oracle.f(x), mode=mode)
+        assert calls == {"sample_rows": 1, **want} and spent == m + 1
+    # each redrawn sample is evaluated by a call of its own
+    redrawn = 0
+    for broken, mode in (("grad", GradientMode.exact()), ("f", GradientMode.forward(1e-9))):
+        for seed in range(20):
+            calls["sample_rows"] = 0
+            try:
+                _, spent = build_initial_model(_half_broken_oracle(broken), np.zeros(2), 1.0, 4,
+                                               np.random.default_rng(seed), mode=mode)
+            except EvaluationError:
+                continue
+            assert calls["sample_rows"] == 1 + (spent - 5)
+            redrawn += spent - 5
+    assert redrawn
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,17 @@ def test_grad_evals_count_every_gradient_the_oracle_computes():
     assert res.grad_evals == len(calls) == res.trace[-1].grad_evals_cum
 
 
+def test_differentiability_checks_spend_no_uncounted_gradient():
+    # an oracle without smooth_at counts as smooth everywhere, so
+    # fdp_perturb's checks spend no gradient; the trajectory is unchanged
+    calls = []
+    oracle = quadratic_oracle(3)
+    probe = replace(oracle, eval_grad=lambda x: calls.append(1) or oracle.eval_grad(x))
+    res = run(probe, SolverConfig(seed=0, m=4, max_outer=30, differentiability_checks=True))
+    assert res.grad_evals == len(calls) == 21
+    assert (res.f.hex(), res.stop_reason) == ("0x1.4140000000000p-97", "converged")
+
+
 def test_trace_invariants_across_problems():
     for name, n, m in (("ChainedLQ", 10, 20), ("MAXQ-gen", 10, 5), ("Mifflin1", 2, 4)):
         oracle = make_problem(name, n) if name != "Mifflin1" else make_problem(name)
@@ -265,6 +276,57 @@ def test_rosen_trajectory_pinned(mode, grad_evals, f_hex):
     res = run(oracle, SolverConfig(seed=0, m=8, max_outer=300), start, grad_mode=mode)
     assert res.stop_reason == "radius_floor"
     assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)
+
+
+# from the literature start at n=10, seed = the problem's index: bgs with
+# forward differences (h=1e-8), m=5 and 60 outer iterations; GS in both
+# modes with its default 2n samples and 20 iterations.  The objective-value
+# counts are pinned too: each sample of a bgs initial model spends the n + 1
+# values of its differences, the first of which is its value; GS asks for
+# no sample value, so exact GS spends values on its line search only.
+FD_BGS_PINS = [  # problem, grad_evals, f, eval_f calls
+    (1, 758, "0x1.c4b9bba7a9c4cp-26", 8763),
+    (2, 647, "0x1.8451813e39240p-13", 7470),
+    (3, 827, "-0x1.974af10ad3d2ap+3", 9607),
+    (4, 1138, "0x1.2006f515d24bfp+4", 13339),
+    (5, 595, "0x1.20000001bd604p+4", 6840),
+    (6, 484, "0x1.4888947961591p-68", 5545),
+    (7, 867, "0x1.6e8b67b025be4p-30", 10102),
+    (8, 709, "0x1.04e063e76a9fcp-23", 8186),
+]
+GS_PINS = [  # mode, problem, grad_evals, f, eval_f calls
+    ("exact", 1, 420, "0x1.f3010c5212764p-8", 82),
+    ("exact", 3, 420, "-0x1.957057ca4c7d3p+3", 83),
+    ("exact", 4, 420, "0x1.27338eda4436fp+4", 68),
+    ("exact", 8, 420, "0x1.a7773330de454p-7", 74),
+    ("forward", 1, 420, "0x1.f3009410de840p-8", 4702),
+    ("forward", 3, 420, "-0x1.957057de84185p+3", 4703),
+    ("forward", 4, 420, "0x1.27338f9a49ec9p+4", 4688),
+    ("forward", 8, 420, "0x1.a773b398a945ap-7", 4694),
+]
+
+
+def _counted_f(oracle):
+    calls = []
+    return replace(oracle, eval_f=lambda x: calls.append(1) or oracle.eval_f(x)), calls
+
+
+@pytest.mark.parametrize("problem,grad_evals,f_hex,f_calls", FD_BGS_PINS,
+                         ids=[str(p[0]) for p in FD_BGS_PINS])
+def test_forward_difference_trajectory_pinned(problem, grad_evals, f_hex, f_calls):
+    oracle, calls = _counted_f(make_problem(str(problem), 10))
+    res = run(oracle, SolverConfig(seed=problem, m=5, max_outer=60),
+              grad_mode=GradientMode.forward(1e-8))
+    assert (res.grad_evals, res.f.hex(), len(calls)) == (grad_evals, f_hex, f_calls)
+
+
+@pytest.mark.parametrize("kind,problem,grad_evals,f_hex,f_calls", GS_PINS,
+                         ids=[f"{p[0]}-{p[1]}" for p in GS_PINS])
+def test_gs_trajectory_pinned(kind, problem, grad_evals, f_hex, f_calls):
+    mode = GradientMode.exact() if kind == "exact" else GradientMode.forward(1e-8)
+    oracle, calls = _counted_f(make_problem(str(problem), 10))
+    res = gs.gs_run(oracle, gs.GsConfig(seed=problem, max_iters=20), grad_mode=mode)
+    assert (res.grad_evals, res.f.hex(), len(calls)) == (grad_evals, f_hex, f_calls)
 
 
 # seed 0 of two bgs_large solves: n=500, default m=50, stop at relative

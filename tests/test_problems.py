@@ -14,6 +14,7 @@ from bundlegs.problems import (
     catalog,
     gradient,
     make_problem,
+    sample_rows,
 )
 from helpers import reference_problem
 
@@ -398,84 +399,146 @@ def test_gradient_finite_check_never_warns(mode):
     np.testing.assert_allclose(g, [1e308, 1e308], rtol=1e-6)
 
 
+def _rows(oracle, mode, X, values=False):
+    """sample_rows into new arrays: (gradients, values or None, bad rows)."""
+    X = np.asarray(X, dtype=float)
+    out, F = np.empty((len(X), oracle.dimension)), np.empty(len(X)) if values else None
+    return out, F, sample_rows(oracle, mode, X, out, F)
+
+
 def test_oracle_grad_and_grad_rows_never_warn():
-    oracle = _identity_gradient_oracle(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        oracle = _identity_gradient_oracle(2)
         assert _same_array(oracle.grad(np.array([1e308, 1e308])), np.array([1e308, 1e308]))
         with pytest.raises(EvaluationError, match="non-finite gradient at x="):
             oracle.grad(np.array([np.inf, -np.inf]))
-        X = np.array([[1e308, 1e308], [1.0, 2.0]])
-        assert _same_array(oracle.grad_rows(X), X)
-        with pytest.raises(EvaluationError, match="at row 1 of a block of 2"):
-            oracle.grad_rows(np.array([[1e308, 1e308], [np.inf, -np.inf]]))
-        # f is the first coordinate: a value that is not finite fails its row too
-        first = replace(oracle, eval_f=lambda x: float(x[0]))
-        F, bad = first.value_grad_rows(X)
-        assert bad == [] and _same_array(F, X[:, 0])
-        X = np.array([[np.inf, -np.inf], [1.0, 2.0], [1.0, np.nan], [np.nan, 1.0]])
-        assert first.value_grad_rows(X)[1] == [0, 2, 3]
+        for mode in (GradientMode.exact(), GradientMode.forward(FD_STEP)):
+            _rows_never_warn(mode)
+
+
+def _rows_never_warn(mode):
+    # f and its gradient at the origin give the row: finite entries whose
+    # sum overflows pass, inf next to -inf and NaN are reported; in forward
+    # mode an infinite f at x and at x + h e_i gives the difference inf - inf
+    for g, bad in (([1e308, 1e308], []), ([np.inf, -np.inf], [0]), ([1e308, np.nan], [0])):
+        assert _rows(_oracle_with_gradient(g), mode, np.zeros((1, 2)), values=True)[2] == bad, g
+    np.testing.assert_allclose(_rows(_oracle_with_gradient([1e308, 1e308]), mode,
+                                     np.zeros((1, 2)))[0], [[1e308, 1e308]], rtol=1e-6)
+    # f is inf where x_0 > 0 and 0 elsewhere: both first rows' differences
+    # meet an infinite f, and only the row at 1 has an infinite value
+    wall = ObjectiveOracle("wall", 2, 0.0, np.zeros(2),
+                           lambda x: np.float64(np.inf) if x[0] > 0.0 else np.float64(0.0),
+                           lambda x: np.where(x > 0.0, np.inf, -np.inf))
+    assert _rows(wall, mode, [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], values=True)[2] == (
+        [0, 1] if mode.kind == "forward" else [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
-# gradient blocks: grad_rows is grad, row by row
+# gradient blocks: sample_rows is gradient and f, row by row
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name,n", list(_sizes()), ids=lambda v: str(v))
 def test_grad_rows_byte_equal_to_grad(name, n):
     oracle = make_problem(name, n)
+    exact = GradientMode.exact()
     with np.errstate(over="ignore", invalid="ignore"):
         accepted, refused = [], []
         for x in _guard_points(oracle):
             (accepted if _grad_or_error(oracle, x) is not None else refused).append(x)
-        G = oracle.grad_rows(np.array(accepted))
-        assert G.shape == (len(accepted), oracle.dimension)
+        G, _, bad = _rows(oracle, exact, accepted)
+        assert bad == [] and G.shape == (len(accepted), oracle.dimension)
         for x, row in zip(accepted, G):
             assert _same_array(row, oracle.grad(x)), x
-        # a point whose gradient grad refuses fails its whole block
+        # a point whose gradient grad refuses is reported, and only that one
         for x in refused:
-            with pytest.raises(EvaluationError, match="non-finite gradient at row 1"):
-                oracle.grad_rows(np.array([oracle.x0, x]))
-        # the paired block: f and grad row by row, into the caller's array
-        out = np.empty((len(accepted), oracle.dimension))
-        F, bad = oracle.value_grad_rows(np.array(accepted), out=out)
+            assert _rows(oracle, exact, [oracle.x0, x, oracle.x0])[2] == [1], x
+        # with values: f and grad row by row, into the caller's arrays
+        out, F, bad = _rows(oracle, exact, accepted, values=True)
         assert bad == [] and _same_array(out, G)
         assert _same_array(F, np.array([oracle.f(x) for x in accepted]))
         for x in refused:
-            assert oracle.value_grad_rows(np.array([oracle.x0, x, oracle.x0]))[1] == [1]
+            assert _rows(oracle, exact, [oracle.x0, x, oracle.x0], values=True)[2] == [1]
 
 
-def test_grad_rows_calls_eval_grad_once_per_row():
-    oracle = make_problem("ChainedCB3I", 10)
-    calls = []
-
-    def counted(x):
-        calls.append(x.copy())
-        return oracle.eval_grad(x)
-
-    X = np.random.default_rng(5).standard_normal((21, 10))
-    G = replace(oracle, eval_grad=counted).grad_rows(X)
-    assert len(calls) == 21
-    np.testing.assert_array_equal(np.array(calls), X)
-    assert _same_array(G, np.array([oracle.grad(x) for x in X]))
+def _forward_or_error(oracle, mode, x):
+    try:
+        return gradient(oracle, mode, x)
+    except EvaluationError:
+        return None
 
 
-def test_value_grad_rows_calls_eval_grad_then_eval_f_once_per_row():
-    oracle = make_problem("ChainedCB3I", 10)
-    calls = []
+@pytest.mark.parametrize("name,n", [(name, n) for name, n in _sizes() if n != 500],
+                         ids=lambda v: str(v))
+def test_forward_rows_byte_equal_to_gradient(name, n):
+    oracle = make_problem(name, n)
+    mode = GradientMode.forward(FD_STEP)
+    points = _guard_points(oracle)[::4] if oracle.dimension >= 50 else _guard_points(oracle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [_forward_or_error(oracle, mode, x) for x in points]
+        G, F, bad = _rows(oracle, mode, points, values=True)
+        # the rows gradient refuses, and no other, are reported
+        assert bad == [i for i, g in enumerate(want) if g is None]
+        ok = [i for i in range(len(points)) if i not in bad]
+        for i in ok:
+            assert _same_array(G[i], want[i]), points[i]
+        assert _same_array(F[ok], np.array([oracle.f(points[i]) for i in ok]))
+        # without values the rows are the same
+        assert _same_array(_rows(oracle, mode, points)[0], G)
 
+
+def _recorded(oracle, calls):
+    """`oracle` with each eval_f and eval_grad call appended to `calls`."""
     def counted(key, fn):
         def call(x):
             calls.append((key, x.copy()))
             return fn(x)
         return call
 
+    return replace(oracle, eval_f=counted("f", oracle.eval_f),
+                   eval_grad=counted("grad", oracle.eval_grad))
+
+
+def test_grad_rows_calls_eval_grad_once_per_row():
+    oracle = make_problem("ChainedCB3I", 10)
+    calls = []
     X = np.random.default_rng(5).standard_normal((21, 10))
-    F, bad = replace(oracle, eval_f=counted("f", oracle.eval_f),
-                     eval_grad=counted("grad", oracle.eval_grad)).value_grad_rows(X)
+    G, _, bad = _rows(_recorded(oracle, calls), GradientMode.exact(), X)
+    assert [key for key, _ in calls] == ["grad"] * 21 and bad == []
+    np.testing.assert_array_equal(np.array([x for _, x in calls]), X)
+    assert _same_array(G, np.array([oracle.grad(x) for x in X]))
+
+
+def test_value_grad_rows_calls_eval_grad_then_eval_f_once_per_row():
+    oracle = make_problem("ChainedCB3I", 10)
+    calls = []
+    X = np.random.default_rng(5).standard_normal((21, 10))
+    _, F, bad = _rows(_recorded(oracle, calls), GradientMode.exact(), X, values=True)
     assert [key for key, _ in calls] == ["grad", "f"] * 21 and bad == []
     np.testing.assert_array_equal(np.array([x for _, x in calls]), np.repeat(X, 2, axis=0))
+    assert _same_array(F, np.array([oracle.f(x) for x in X]))
+
+
+@pytest.mark.parametrize("values", [False, True], ids=["rows", "values"])
+def test_forward_rows_call_eval_f_n_plus_one_times_per_row(values):
+    # per row: f at the row, the base of its differences and its value,
+    # then f at x + h e_i for i = 0 .. n-1; no gradient
+    oracle, h = make_problem("ChainedCB3I", 10), 1e-8
+    calls = []
+    X = np.random.default_rng(5).standard_normal((21, 10))
+    G, F, bad = _rows(_recorded(oracle, calls), GradientMode.forward(h), X, values=values)
+    assert [key for key, _ in calls] == ["f"] * (21 * 11) and bad == []
+    want = []
+    for x in X:
+        want.append(x)
+        for i in range(10):
+            xp = x.copy()
+            xp[i] += h
+            want.append(xp)
+    np.testing.assert_array_equal(np.array([x for _, x in calls]), np.array(want))
+    if values:
+        assert _same_array(F, np.array([oracle.f(x) for x in X]))
 
 
 def _identity_gradient_oracle(n):
@@ -484,26 +547,48 @@ def _identity_gradient_oracle(n):
                            eval_f=lambda x: 0.5 * float(x @ x), eval_grad=lambda x: x.copy())
 
 
+# the block reports exactly the rows that raise when gradient evaluates them
+# one at a time
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_grad_rows_non_finite_row_raises(bad):
+    oracle = _identity_gradient_oracle(3)
     X = np.ones((5, 3))
     X[3, 1] = bad
-    with pytest.raises(EvaluationError, match=r"identity: non-finite gradient at row 3 of a block of 5"):
-        _identity_gradient_oracle(3).grad_rows(X)
+    G, F, rows = _rows(oracle, GradientMode.exact(), X, values=True)
+    assert rows == [3] and _same_array(G, X)
+    with pytest.raises(EvaluationError, match=r"identity: non-finite gradient at x="):
+        gradient(oracle, GradientMode.exact(), X[3])
+    # a value that is not finite with a finite gradient fails its row when
+    # the values are asked for
+    flat = replace(oracle, eval_f=lambda x: float(x[2]), eval_grad=lambda x: np.ones(3))
+    X = np.ones((5, 3))
+    X[3, 2] = bad
+    assert _rows(flat, GradientMode.exact(), X)[2] == []
+    assert _rows(flat, GradientMode.exact(), X, values=True)[2] == [3]
 
 
 def test_grad_rows_inf_and_minus_inf_rows_raise():
     # their sum is NaN; no warning escapes the check
-    X = np.array([[1.0, np.inf], [1.0, -np.inf]])
-    with pytest.raises(EvaluationError, match="at row 0"):
-        _identity_gradient_oracle(2).grad_rows(X)
+    oracle = _identity_gradient_oracle(2)
+    X = np.array([[1.0, np.inf], [1.0, 2.0], [1.0, -np.inf]])
+    # with f the first coordinate, a row with a bad value, a bad gradient
+    # or both is listed once
+    first = replace(oracle, eval_f=lambda x: float(x[0]))
+    mixed = np.array([[np.inf, -np.inf], [1.0, 2.0], [1.0, np.nan], [np.nan, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rows(oracle, GradientMode.exact(), X)[2] == [0, 2]
+        assert _rows(first, GradientMode.exact(), mixed, values=True)[2] == [0, 2, 3]
+    for x in X[[0, 2]]:
+        with pytest.raises(EvaluationError, match="non-finite gradient"):
+            gradient(oracle, GradientMode.exact(), x)
 
 
 def test_grad_rows_finite_block_with_overflowing_sum_accepted():
     # every entry is finite, only the block's sum overflows
     X = np.array([[1e308, 1e308], [1e308, -1e308], [1e308, 0.0]])
-    G = _identity_gradient_oracle(2).grad_rows(X)
-    assert _same_array(G, X)
+    G, _, bad = _rows(_identity_gradient_oracle(2), GradientMode.exact(), X)
+    assert bad == [] and _same_array(G, X)
 
 
 # ---------------------------------------------------------------------------
