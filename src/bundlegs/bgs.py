@@ -251,7 +251,8 @@ def build_initial_model(
 ) -> tuple[np.ndarray, int]:
     """Rows [g_j, e_j]: row 0 at x_k (error 0) plus m sampled rows, and the gradients spent.
 
-    The m sampled points are evaluated by one `sample_rows` call, which also
+    `f_xk`, f at x_k, is also the base of row 0's forward differences.  The
+    m sampled points are evaluated by one `sample_rows` call, which also
     gives their values, in either gradient mode.  A point whose gradient or
     objective value is not finite is replaced by one fresh draw from the
     ball, the bad points in index order, each evaluated by its own call, and
@@ -266,7 +267,7 @@ def build_initial_model(
     if f_xk is None:
         f_xk = oracle.f(x_k)
     rows = np.zeros((m + 1, x_k.size + 1))
-    rows[0, :-1] = gradient(oracle, mode, x_k)
+    rows[0, :-1] = gradient(oracle, mode, x_k, f_x=f_xk)
     G, F = rows[1:, :-1], np.empty(m)
     points = sample_ball(x_k, eps_k, m, rng)
     bad = sample_rows(oracle, mode, points, G, F)
@@ -595,7 +596,7 @@ def run(
                 f_s = f_trial if np.array_equal(s_new, trial) else oracle.f(s_new)
             else:
                 s_new, f_s = trial, f_trial
-            g_new = gradient(oracle, mode, s_new)
+            g_new = gradient(oracle, mode, s_new, f_x=f_s)
             g_evals += 1
             e_new = linearization_error(f_x, f_s, g_new, x, s_new, strict)
             f_gap = abs(f_trial - f_x)

@@ -13,6 +13,8 @@ from .problems import catalog, make_problem
 
 _SOLVER_KEYS_BGS = ("m", "eps0", "mu", "alpha", "gamma", "beta", "theta", "sigma")
 _SOLVER_KEYS_GS = ("eps0",)
+# parser options that steer the CLI itself and are no experiment option
+_CLI_ONLY = ("help", "config", "list_problems")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,14 +50,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    merged: dict = {}
-    if args.config:
-        merged.update(load_config_file(args.config))
-    # every option the parser defines, except those that steer the CLI itself
+    merged: dict = _read_config(args.config) if args.config else {}
     for key, val in vars(args).items():
-        if key not in ("config", "list_problems") and val is not None:
+        if key not in _CLI_ONLY and val is not None:
             merged[key] = val
     return merged
+
+
+def _read_config(path: str) -> dict:
+    """The config file's options, each converted and checked as its flag is."""
+    actions = {a.dest: a for a in build_parser()._actions if a.dest not in _CLI_ONLY}
+    out = {}
+    for key, text in load_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        try:
+            val = action.type(text) if action.type else text
+        except ValueError:
+            raise ValueError(f"{path}: {key}={text!r} is not a valid "
+                             f"{action.type.__name__}") from None
+        if action.choices and val not in action.choices:
+            raise ValueError(f"{path}: {key}={text!r} is not one of {', '.join(action.choices)}")
+        out[key] = val
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,32 +81,34 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_problems:
         print(json.dumps(catalog(), indent=2))
         return 0
-    opts = _merge(args)
+    try:
+        opts = _merge(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if "solver" not in opts or "problem" not in opts:
         print("error: --solver and --problem are required (or set them in --config)",
               file=sys.stderr)
         return 2
 
-    solver = str(opts["solver"])
+    solver = opts["solver"]
     keys = _SOLVER_KEYS_BGS if solver == "bgs" else _SOLVER_KEYS_GS
-    solver_options = {k: _num(opts[k]) for k in keys if k in opts}
-    if solver == "bgs" and "m" in solver_options:
-        solver_options["m"] = int(solver_options["m"])
+    solver_options = {k: opts[k] for k in keys if k in opts}
     if solver == "gs" and "m" in opts:
-        solver_options["sample_size"] = int(_num(opts["m"]))
+        solver_options["sample_size"] = opts["m"]
 
     try:
         spec = ExperimentSpec(
             solver=solver,
-            problem=str(opts["problem"]),
-            n=int(opts["n"]) if "n" in opts else None,
-            replications=int(opts.get("reps", 5)),
-            stop_rel_err=float(opts["tol"]) if "tol" in opts else None,
-            seed_base=int(opts.get("seed", 0)),
+            problem=opts["problem"],
+            n=opts.get("n"),
+            replications=opts.get("reps", 5),
+            stop_rel_err=opts.get("tol"),
+            seed_base=opts.get("seed", 0),
             output=opts.get("out"),
-            format=str(opts.get("format", "csv")),
+            format=opts.get("format", "csv"),
             solver_options=solver_options,
-            fd_step=float(opts["fd"]) if "fd" in opts else None,
+            fd_step=opts.get("fd"),
             trace_path=opts.get("trace"),
         )
         # what the spec leaves to run_experiment: the problem, its
@@ -108,15 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {aborted} run(s) aborted", file=sys.stderr)
         return 1
     return 0
-
-
-def _num(v):
-    if isinstance(v, (int, float)):
-        return v
-    try:
-        return int(v)
-    except ValueError:
-        return float(v)
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ def gs_run(
             stop_reason = "radius_floor"
             break
         iters += 1
-        grads[0] = gradient(oracle, mode, x)
+        grads[0] = gradient(oracle, mode, x, f_x=f_x)
         points = sample_ball(x, eps, sample_size, rng)
         bad = sample_rows(oracle, mode, points, grads[1:])
         if bad:

@@ -112,17 +112,20 @@ class ObjectiveOracle:
         return self.smooth_at is None or bool(self.smooth_at(np.asarray(x, dtype=float)))
 
 
-def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray) -> np.ndarray:
+def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray,
+             f_x: float | None = None) -> np.ndarray:
     """Evaluate the gradient in the requested mode.
 
     Forward differences use [f(x + h e_i) - f(x)] / h componentwise and are
-    applied blindly, also near kinks.
+    applied blindly, also near kinks.  `f_x`, when given, is the caller's
+    `oracle.f(x)`: the differences take it as their base and make n `eval_f`
+    calls instead of n + 1.  Exact gradients ignore it.
     """
     x = np.asarray(x, dtype=float)
     if mode.kind == "exact":
         return oracle.grad(x)
     g = np.empty(x.size)
-    _forward_differences(oracle.eval_f, mode.h, x, g)
+    _forward_differences(oracle.eval_f, mode.h, x, g, f_x)
     if not _all_finite(g):
         raise EvaluationError(f"{oracle.name}: non-finite forward-difference gradient")
     return g
@@ -162,10 +165,12 @@ def sample_rows(oracle: ObjectiveOracle, mode: GradientMode, X: np.ndarray,
     return np.flatnonzero(~ok).tolist()
 
 
-def _forward_differences(eval_f, h: float, x: np.ndarray, g: np.ndarray) -> float:
+def _forward_differences(eval_f, h: float, x: np.ndarray, g: np.ndarray,
+                         f0: float | None = None) -> float:
     # g[i] = (f(x + h e_i) - f(x)) / h on Python floats, which raise no numpy
-    # warning on inf - inf; returns the base f(x)
-    f0 = float(eval_f(x))
+    # warning on inf - inf; returns the base f(x), evaluated unless given
+    if f0 is None:
+        f0 = float(eval_f(x))
     for i in range(x.size):
         xp = x.copy()
         xp[i] += h

@@ -500,9 +500,10 @@ def test_initial_model_makes_one_block_call_per_model_in_either_mode(monkeypatch
                     eval_grad=counted("eval_grad", oracle.eval_grad))
     x = oracle.x0
     # exact: a gradient at x_k and at each sample, and each sample's value;
-    # forward: n + 1 values at x_k and at each sample, whose base is its value
+    # forward: n + 1 values at each sample, whose base is its value, and n at
+    # x_k, whose base is f_xk
     for mode, want in ((GradientMode.exact(), {"eval_f": m, "eval_grad": m + 1}),
-                       (GradientMode.forward(1e-8), {"eval_f": (m + 1) * (n + 1),
+                       (GradientMode.forward(1e-8), {"eval_f": (m + 1) * (n + 1) - 1,
                                                      "eval_grad": 0})):
         calls.update(dict.fromkeys(calls, 0))
         _, spent = build_initial_model(probe, x, 0.5, m, np.random.default_rng(0),

@@ -226,6 +226,19 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("line", ["eps0=abc", "tolerance=1e-9", "m=4.7", "solver=xyz",
+                                      "no equals sign"],
+                             ids=["non-number", "unknown-key", "fractional-m", "unknown-solver",
+                                  "not-key-value"])
+    def test_bad_config_file_entry_is_refused(self, line, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"solver=bgs\nproblem=ChainedLQ\nn=8\nreps=1\n{line}\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "o.csv").exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_full_run(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = cli.main(["--solver", "bgs", "--problem", "ChainedLQ", "--n", "8",

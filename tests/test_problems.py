@@ -462,9 +462,9 @@ def test_grad_rows_byte_equal_to_grad(name, n):
             assert _rows(oracle, exact, [oracle.x0, x, oracle.x0], values=True)[2] == [1]
 
 
-def _forward_or_error(oracle, mode, x):
+def _gradient_or_error(oracle, mode, x, f_x=None):
     try:
-        return gradient(oracle, mode, x)
+        return gradient(oracle, mode, x, f_x=f_x)
     except EvaluationError:
         return None
 
@@ -476,7 +476,7 @@ def test_forward_rows_byte_equal_to_gradient(name, n):
     mode = GradientMode.forward(FD_STEP)
     points = _guard_points(oracle)[::4] if oracle.dimension >= 50 else _guard_points(oracle)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = [_forward_or_error(oracle, mode, x) for x in points]
+        want = [_gradient_or_error(oracle, mode, x) for x in points]
         G, F, bad = _rows(oracle, mode, points, values=True)
         # the rows gradient refuses, and no other, are reported
         assert bad == [i for i, g in enumerate(want) if g is None]
@@ -486,6 +486,39 @@ def test_forward_rows_byte_equal_to_gradient(name, n):
         assert _same_array(F[ok], np.array([oracle.f(points[i]) for i in ok]))
         # without values the rows are the same
         assert _same_array(_rows(oracle, mode, points)[0], G)
+
+
+@pytest.mark.parametrize("name,n", list(_sizes()), ids=lambda v: str(v))
+def test_gradient_takes_the_callers_value_as_its_base(name, n):
+    # the solvers pass f at x where they hold it: forward differences take it
+    # as their base and spend n values instead of n + 1, exact gradients none
+    oracle = make_problem(name, n)
+    calls = []
+    counted = replace(oracle, eval_f=lambda x: calls.append(1) or oracle.eval_f(x))
+    exact, forward = GradientMode.exact(), GradientMode.forward(FD_STEP)
+    points = _guard_points(oracle)
+    # the forward pairs make 2n + 1 calls per point; thin them at large n
+    stride = 40 if oracle.dimension >= 500 else 4 if oracle.dimension >= 50 else 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, x in enumerate(points):
+            try:
+                f_x = oracle.f(x)
+            except EvaluationError:
+                continue
+            calls.clear()
+            got = _gradient_or_error(counted, exact, x, f_x=f_x)
+            want = _grad_or_error(oracle, x)
+            assert not calls and (got is None) == (want is None), x
+            assert want is None or _same_array(got, want), x
+            if j % stride:
+                continue
+            calls.clear()
+            want = _gradient_or_error(counted, forward, x)
+            assert len(calls) == oracle.dimension + 1
+            calls.clear()
+            got = _gradient_or_error(counted, forward, x, f_x=f_x)
+            assert len(calls) == oracle.dimension and (got is None) == (want is None), x
+            assert want is None or _same_array(got, want), x
 
 
 def _recorded(oracle, calls):
