@@ -11,7 +11,9 @@ from .gs import GsConfig
 from .harness import ExperimentSpec, load_config_file, run_experiment
 from .problems import catalog, make_problem
 
-_SOLVER_KEYS_BGS = ("m", "eps0", "mu", "alpha", "gamma", "beta", "theta", "sigma")
+# options of the bundle solver that the GS baseline has no use for
+_BGS_ONLY = ("mu", "alpha", "gamma", "beta", "theta", "sigma")
+_SOLVER_KEYS_BGS = ("m", "eps0") + _BGS_ONLY
 _SOLVER_KEYS_GS = ("eps0",)
 # parser options that steer the CLI itself and are no experiment option
 _CLI_ONLY = ("help", "config", "list_problems")
@@ -92,6 +94,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     solver = opts["solver"]
+    bgs_only = [f"--{k}" for k in _BGS_ONLY if k in opts] if solver == "gs" else []
+    if bgs_only:
+        print(f"error: --solver gs takes no {', '.join(bgs_only)}", file=sys.stderr)
+        return 2
     keys = _SOLVER_KEYS_BGS if solver == "bgs" else _SOLVER_KEYS_GS
     solver_options = {k: opts[k] for k in keys if k in opts}
     if solver == "gs" and "m" in opts:

@@ -7,8 +7,9 @@ the sampled gradients (Wolfe's nearest-point problem, solved by
 QpFailureError), and runs an Armijo backtracking line search along the
 normalized steepest-descent direction.  The radius shrinks when the hull
 point is nearly zero or the line search fails.  Used as the
-gradient-evaluation-count comparison baseline; its line-search constants are
-conventional choices and are all config-exposed.
+gradient-evaluation-count comparison baseline; its radius shrink factor,
+line-search constants, stationarity tolerance and radius floor are
+conventional choices, fixed as module constants.
 
 The gradient at x_k and the sampled block, evaluated by one
 `problems.sample_rows` call in either gradient mode, go into one
@@ -31,6 +32,13 @@ from .problems import EvaluationError, GradientMode, ObjectiveOracle, gradient, 
 from .qp import QpFailureError, SimplexQpInstance, min_norm_point, solve_simplex_qp  # noqa: F401
 from .sampling import sample_ball
 
+_EPS_SHRINK = 0.1  # radius factor on a shrink
+_ARMIJO_BETA = 1e-4  # sufficient-decrease fraction
+_ARMIJO_GAMMA = 0.5  # backtracking factor
+_MAX_BACKTRACKS = 50
+_STATIONARITY_TOL = 1e-6  # hull-point norm below which the radius shrinks
+_MIN_RADIUS = 1e-12
+
 
 @dataclass
 class GsConfig:
@@ -38,28 +46,14 @@ class GsConfig:
 
     sample_size: Optional[int] = None
     eps0: float = 1.0
-    eps_shrink: float = 0.1
-    armijo_beta: float = 1e-4
-    armijo_gamma: float = 0.5
-    max_backtracks: int = 50
-    stationarity_tol: float = 1e-6
     seed: int = 0
     max_iters: int = 1000
-    min_radius: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.sample_size is not None and self.sample_size < 1:
             raise ValueError("sample_size must be positive")
         if not self.eps0 > 0:
             raise ValueError("eps0 must be positive")
-        if not 0.0 < self.eps_shrink < 1.0:
-            raise ValueError("eps_shrink must be in (0, 1)")
-        if not 0.0 < self.armijo_beta < 1.0:
-            raise ValueError("armijo_beta must be in (0, 1)")
-        if not 0.0 < self.armijo_gamma < 1.0:
-            raise ValueError("armijo_gamma must be in (0, 1)")
-        if self.stationarity_tol < 0:
-            raise ValueError("stationarity_tol must be nonnegative")
 
     def resolve_sample_size(self, n: int) -> int:
         return int(self.sample_size) if self.sample_size is not None else 2 * n
@@ -101,7 +95,7 @@ def gs_run(
     grads = np.empty((sample_size + 1, n))
 
     for k in range(config.max_iters):
-        if eps < config.min_radius:
+        if eps < _MIN_RADIUS:
             stop_reason = "radius_floor"
             break
         iters += 1
@@ -120,18 +114,18 @@ def gs_run(
                                  f"{sol.iterations} pivots (KKT residual {sol.kkt_residual:.3e})")
         gnorm = float(np.linalg.norm(sol.g_tilde))
 
-        if gnorm <= config.stationarity_tol:
+        if gnorm <= _STATIONARITY_TOL:
             kind = "shrink"
         else:
             d = -sol.g_tilde / gnorm
             t = 1.0
             accepted = False
-            for _ in range(config.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 f_t = oracle.f(x + t * d)
-                if f_t < f_x - config.armijo_beta * t * gnorm:
+                if f_t < f_x - _ARMIJO_BETA * t * gnorm:
                     accepted = True
                     break
-                t *= config.armijo_gamma
+                t *= _ARMIJO_GAMMA
             if accepted:
                 x = x + t * d
                 f_x = f_t
@@ -143,7 +137,7 @@ def gs_run(
                             kind=kind, grad_evals_cum=g_evals)
         trace.append(rec)
         if kind == "shrink":
-            eps *= config.eps_shrink
+            eps *= _EPS_SHRINK
         if stop_callback is not None and stop_callback(rec):
             stop_reason = "callback"
             break

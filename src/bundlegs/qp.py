@@ -12,17 +12,20 @@ problem (the latter with all e_j = 0 and unit scale).
 
 Two kernels solve it; instances here are tiny and dense, so no sparse or
 large-scale machinery is used.  Both are primal active-set methods on the
-simplex, and each pivot solves the equality-constrained subproblem of its
-working set W through the bordered KKT matrix
+simplex and differ only in how the working set W grows.  They share one
+pivot (`_pivot`), which solves the equality-constrained subproblem of W
+through the bordered KKT matrix
 
     [[H + delta I, -1], [1', 0]] [y; mu] = [-c; 1],   H = G G',
 
-restricted to the rows and columns of W and the border.  The full
-(p+1) x (p+1) matrix and right-hand side are built once per solve by
-`_bordered_kkt`, and a pivot only gathers its subsystem from them.
+restricted to the rows and columns of W and the border (built once per
+solve by `_bordered_kkt`), one ratio test (`_ratio_step`), one
+projected-gradient polish for an active set that round-off stalls
+(`_polish`), one stopping rule (`_stop_tol`) and one pivot limit
+(`_max_pivots`).
 
-* `solve_simplex_qp` takes any instance, changes W by one atom per pivot
-  and falls back to projected gradient.  Its arithmetic is that of
+* `solve_simplex_qp` takes any instance, adds one atom per pivot, and
+  polishes also when the pivot limit runs out.  Its arithmetic is that of
   assembling each subsystem afresh, bit for bit: with near-duplicate atoms
   the system is near-singular, and round-off decides how the multipliers
   split among them.  The bundle solver needs exactly that split, because
@@ -32,8 +35,7 @@ restricted to the rows and columns of W and the border.  The full
   blocks: every violating atom enters at once.  It needs about half the
   pivots on the baseline's hulls of 2n+1 gradients, and it rounds
   differently.  Only the hull point is unique, and it is all the
-  gradient-sampling baseline uses.  It shares the projected-gradient polish
-  for an active set that round-off stalls.
+  gradient-sampling baseline uses.
 
 The bundle solver builds about 9.4k instances of 3-8 atoms per battery
 round, so per-call overhead, not arithmetic, is most of their cost.
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _NEG_ERR_TOL = 1e-12
+_TOL = 1e-10  # KKT tolerance of both kernels, relative to max(1, |mu|)
 _F64 = np.dtype(float)
 
 
@@ -104,6 +107,8 @@ class SimplexQpInstance:
         errors = np.where(errors < 0.0, 0.0, errors) if e_min < 0.0 else errors.copy()
         if not self.penalty_scale > 0:
             raise ValueError("penalty_scale must be positive")
+        if not math.isfinite(self.penalty_scale):
+            raise ValueError("penalty_scale must be finite")
         self.atoms = atoms
         self.errors = errors
         self.penalty_scale = float(self.penalty_scale)
@@ -155,7 +160,15 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def _projected_gradient(H: np.ndarray, c: np.ndarray, lam0: np.ndarray,
                         stop_tol: float, max_iter: int = 20000) -> tuple[np.ndarray, int]:
     # FISTA with simplex projection; polish path when the active set stalls.
-    lip = max(float(np.linalg.norm(H, ord="fro")), 1e-12)
+    # The step is 1 / ||H||_F.  That norm overflows while H is finite once
+    # entries pass about 1e154; H scaled by its largest (diagonal) entry has
+    # a norm of at most p.
+    with np.errstate(over="ignore"):
+        lip = float(np.linalg.norm(H, ord="fro"))
+    if not math.isfinite(lip):
+        h_max = float(H.diagonal().max())
+        lip = h_max * float(np.linalg.norm(H / h_max, ord="fro"))
+    lip = max(lip, 1e-12)
     x = lam0.copy()
     y = lam0.copy()
     t = 1.0
@@ -171,8 +184,13 @@ def _projected_gradient(H: np.ndarray, c: np.ndarray, lam0: np.ndarray,
     return x, max_iter
 
 
+def _stop_tol(mu: float) -> float:
+    """The KKT gap mu - min_j grad_j accepted at the multiplier mu, by both kernels."""
+    return _TOL * max(1.0, abs(mu))
+
+
 def _max_pivots(p: int) -> int:
-    """Default pivot limit of both kernels on p atoms."""
+    """Pivot limit of both kernels on p atoms."""
     return max(20, 10 * p * p)
 
 
@@ -208,9 +226,61 @@ def _bordered_kkt(G: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return H, kkt, rhs
 
 
+def _pivot(kkt: np.ndarray, rhs: np.ndarray,
+           member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The working set W and the equality-constrained weights y on it.
+
+    `member` marks W plus the border (index p, always set), so the rows and
+    columns it selects from `_bordered_kkt`'s system are those of the
+    pivot.  A singular or non-finite solve, which no finite instance has
+    been seen to reach, is replaced by the least-squares solution.
+    """
+    rows = member.nonzero()[0]
+    k = rows.size - 1
+    sub = kkt.take(rows, axis=0).take(rows, axis=1)
+    sub_rhs = rhs.take(rows)
+    try:
+        y = np.linalg.solve(sub, sub_rhs)
+    except np.linalg.LinAlgError:
+        y = np.linalg.lstsq(sub, sub_rhs, rcond=None)[0]
+    if not _all_finite(y):
+        y = np.linalg.lstsq(sub, sub_rhs, rcond=None)[0]
+    return rows[:k], y[:k]
+
+
+def _ratio_step(lam: np.ndarray, idx: np.ndarray, y: np.ndarray, active: np.ndarray) -> None:
+    """Move `lam` on W = `idx` toward `y` until one weight hits zero, and drop that atom.
+
+    Some entry of y is negative.  `lam` is zero off W and is updated in place.
+    """
+    cur = lam[idx]
+    ratios = np.full(idx.size, np.inf)
+    np.divide(cur, cur - y, out=ratios, where=y < 0.0)
+    b = int(ratios.argmin())
+    cur += ratios[b] * (y - cur)
+    cur[b] = 0.0
+    lam[idx] = np.maximum(cur, 0.0)
+    active[idx[b]] = False
+
+
+def _polish(H: np.ndarray, c: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Projected gradient from `lam` unless it already meets the stopping rule.
+
+    Returns the weights, the polish's iterations and whether they meet the rule.
+    """
+    grad = H @ lam + c
+    mu = float(lam @ grad)
+    stop = _stop_tol(mu)
+    iters = 0
+    if mu - float(grad.min()) > stop:
+        lam, iters = _projected_gradient(H, c, lam, stop)
+        grad = H @ lam + c
+        mu = float(lam @ grad)
+    return lam, iters, mu - float(grad.min()) <= _stop_tol(mu)
+
+
 def _solution(lam: np.ndarray, G: np.ndarray, H: np.ndarray, e: np.ndarray, c: np.ndarray,
-              penalty_scale: float, tol: float, iterations: int,
-              converged: bool) -> SimplexQpSolution:
+              penalty_scale: float, iterations: int, converged: bool) -> SimplexQpSolution:
     """The solution record of the weights `lam`, renormalized onto the simplex."""
     lam = np.maximum(lam, 0.0)
     lam /= lam.sum()
@@ -220,7 +290,7 @@ def _solution(lam: np.ndarray, G: np.ndarray, H: np.ndarray, e: np.ndarray, c: n
     grad = H @ lam + c
     mu = float(lam @ grad)
     residual = max(0.0, mu - float(grad.min()))
-    support = lam > tol
+    support = lam > _TOL
     if support.any():
         residual = max(residual, float(np.abs(grad[support] - mu).max()))
     return SimplexQpSolution(
@@ -234,28 +304,29 @@ def _solution(lam: np.ndarray, G: np.ndarray, H: np.ndarray, e: np.ndarray, c: n
     )
 
 
-def solve_simplex_qp(
-    instance: SimplexQpInstance,
-    tol: float = 1e-10,
-    warm_start: np.ndarray | None = None,
-    max_iter: int | None = None,
-) -> SimplexQpSolution:
+def solve_simplex_qp(instance: SimplexQpInstance,
+                     warm_start: np.ndarray | None = None) -> SimplexQpSolution:
     """Return the global minimizer over the simplex.
 
-    `tol` bounds the accepted KKT violation (scaled by the multiplier
-    magnitude for badly scaled data).  `warm_start` is any point on the
-    simplex; the result does not depend on it beyond round-off.  One of the
-    wrong size, with no positive entry, with an entry that is not finite, or
-    whose entries could sum past the largest double is ignored.  Raises
-    QpFailureError when G G' overflows (atoms of norm past about 1.3e154).
+    The KKT gap is accepted below `_TOL * max(1, |mu|)`, scaled by the
+    multiplier magnitude for badly scaled data.  `warm_start` is any point
+    on the simplex; the result does not depend on it beyond round-off.  One
+    of the wrong size, with no positive entry, with an entry that is not
+    finite, or whose entries could sum past the largest double is ignored.
+    Raises QpFailureError when G G' overflows (atoms of norm past about
+    1.3e154) or when a penalty term penalty_scale * e_j does.
     """
     G = instance.atoms
     e = instance.errors
     p = instance.n_atoms
+    # a product of Python floats overflows to inf without a numpy warning
+    e_max = float(e.max())
+    if not math.isfinite(instance.penalty_scale * e_max):
+        raise QpFailureError(f"penalty terms overflow (penalty_scale {instance.penalty_scale}, "
+                             f"largest error {e_max})")
     c = instance.penalty_scale * e
     H, kkt, rhs = _bordered_kkt(G, c)
-    if max_iter is None:
-        max_iter = _max_pivots(p)
+    max_pivots = _max_pivots(p)
 
     # each pivot takes the rows and columns of W plus the border (index p),
     # kept as the last entry of `member`
@@ -281,63 +352,31 @@ def solve_simplex_qp(
         lam[j0] = 1.0
     np.greater(lam, 0.0, out=active)
 
-    stop_tol = lambda mu: tol * max(1.0, abs(mu))  # noqa: E731
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    while iterations < max_pivots:
         iterations += 1
-        rows = member.nonzero()[0]
-        k = rows.size - 1
-        idx = rows[:k]
-        sub = kkt.take(rows, axis=0).take(rows, axis=1)
-        sub_rhs = rhs.take(rows)
-        try:
-            y = np.linalg.solve(sub, sub_rhs)
-        except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(sub, sub_rhs, rcond=None)[0]
-        if not _all_finite(y):
-            y = np.linalg.lstsq(sub, sub_rhs, rcond=None)[0]
-        y = y[:k]
-        if y.min(initial=0.0) >= -1e-12:
+        idx, y = _pivot(kkt, rhs, member)
+        if y.min() >= -1e-12:
             lam = np.zeros(p)
             lam[idx] = np.maximum(y, 0.0)
             grad = H @ lam + c
             mu = float(lam @ grad)
             j = int(grad.argmin())
-            if mu - float(grad[j]) <= stop_tol(mu):
+            if mu - float(grad[j]) <= _stop_tol(mu):
                 converged = True
                 break
             if active[j]:
                 break  # numerical stall; polish below
             active[j] = True
         else:
-            cur = lam[idx]
-            ratios = np.full(k, np.inf)
-            np.divide(cur, cur - y, out=ratios, where=y < 0.0)
-            b = int(ratios.argmin())
-            step = float(ratios[b])
-            cur = cur + step * (y - cur)
-            cur[b] = 0.0
-            lam[:] = 0.0
-            lam[idx] = np.maximum(cur, 0.0)
-            active[idx[b]] = False
-            if not active.any():  # degenerate; restart from best vertex
-                j0 = int(np.argmin(0.5 * H.diagonal() + c))
-                lam[:] = 0.0
-                lam[j0] = 1.0
-                active[j0] = True
+            _ratio_step(lam, idx, y, active)
 
     if not converged:
-        grad = H @ lam + c
-        mu = float(lam @ grad)
-        if mu - float(grad.min()) > stop_tol(mu):
-            lam, pg_iters = _projected_gradient(H, c, lam, stop_tol(mu))
-            iterations += pg_iters
-        grad = H @ lam + c
-        mu = float(lam @ grad)
-        converged = mu - float(grad.min()) <= stop_tol(mu)
+        lam, pg_iters, converged = _polish(H, c, lam)
+        iterations += pg_iters
 
-    return _solution(lam, G, H, e, c, instance.penalty_scale, tol, iterations, converged)
+    return _solution(lam, G, H, e, c, instance.penalty_scale, iterations, converged)
 
 
 def min_norm_point(G: np.ndarray) -> SimplexQpSolution:
@@ -345,22 +384,21 @@ def min_norm_point(G: np.ndarray) -> SimplexQpSolution:
 
     The simplex QP with all errors zero and unit scale, solved by an active
     set with block pricing: every atom below the KKT threshold
-    `mu - tol * max(1, |mu|)` (tol = 1e-10, `solve_simplex_qp`'s default)
-    enters the working set at once, and every zero-weight member whose
-    equality-constrained weight is negative leaves at once (a zero step);
-    otherwise the ratio test drops one atom.  When the same block of atoms
-    is about to enter twice in a row, only the most violating one enters;
-    one entering atom always gets positive weight (Wolfe 1976), so the
-    method is finite.  Each pivot solves the bordered system of
-    `solve_simplex_qp`.  When round-off stalls the active set (only members
-    violate), the point is polished by projected gradient, as there.
+    `mu - _stop_tol(mu)` enters the working set at once, and every
+    zero-weight member whose equality-constrained weight is negative leaves
+    at once (a zero step); otherwise the ratio test drops one atom.  When
+    the same block of atoms is about to enter twice in a row, only the most
+    violating one enters; one entering atom always gets positive weight
+    (Wolfe 1976), so the method is finite.  Pivots, ratio test, stopping
+    rule and pivot limit are those of `solve_simplex_qp`.  When round-off
+    stalls the active set (only members violate), the point is polished by
+    projected gradient, as there.
 
     The hull point `g_tilde` is unique; the weights `lam` are not, and they
     round differently from `solve_simplex_qp`'s.  `converged` is False when
     the pivot limit runs out or the polish falls short of the tolerance.
     Raises QpFailureError when G G' overflows.
     """
-    tol = 1e-10
     G = np.atleast_2d(np.asarray(G, dtype=float))
     p = G.shape[0]
     zeros = np.zeros(p)
@@ -376,7 +414,7 @@ def min_norm_point(G: np.ndarray) -> SimplexQpSolution:
         shift = 1 - math.frexp(a_max)[1]
         G = np.ldexp(G, shift)
     H, kkt, rhs = _bordered_kkt(G, zeros)
-    max_iter = _max_pivots(p)
+    max_pivots = _max_pivots(p)
     member = np.zeros(p + 1, dtype=bool)
     member[p] = True
     active = member[:p]
@@ -388,48 +426,35 @@ def min_norm_point(G: np.ndarray) -> SimplexQpSolution:
     entered = None
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    while iterations < max_pivots:
         iterations += 1
-        rows = np.flatnonzero(member)
-        k = rows.size - 1
-        idx = rows[:k]
-        y = np.linalg.solve(kkt.take(rows, axis=0).take(rows, axis=1), rhs.take(rows))[:k]
+        idx, y = _pivot(kkt, rhs, member)
         if y.min() >= -1e-12:
             lam[:] = 0.0
             lam[idx] = np.maximum(y, 0.0)
             grad = H @ lam
             mu = float(lam @ grad)
-            below = grad < mu - tol * max(1.0, abs(mu))
-            if not below.any():
+            stop = _stop_tol(mu)
+            if mu - float(grad.min()) <= stop:
                 converged = True
                 break
-            block = np.flatnonzero(below & ~active)
+            block = np.flatnonzero((grad < mu - stop) & ~active)
             if block.size == 0:  # numerical stall: only members violate
-                lam, pg_iters = _projected_gradient(H, zeros, lam, tol * max(1.0, abs(mu)))
+                lam, pg_iters, converged = _polish(H, zeros, lam)
                 iterations += pg_iters
-                grad = H @ lam
-                mu = float(lam @ grad)
-                converged = mu - float(grad.min()) <= tol * max(1.0, abs(mu))
                 break
             if entered is not None and np.array_equal(block, entered):
                 block = block[[int(grad[block].argmin())]]
             active[block] = True
             entered = block
             continue
-        cur = lam[idx]
-        leave = (y < 0.0) & (cur == 0.0)
+        leave = (y < 0.0) & (lam[idx] == 0.0)
         if leave.any():
             active[idx[leave]] = False
-            continue
-        ratios = np.full(k, np.inf)
-        np.divide(cur, cur - y, out=ratios, where=y < 0.0)
-        b = int(ratios.argmin())
-        cur += ratios[b] * (y - cur)
-        cur[b] = 0.0
-        lam[idx] = np.maximum(cur, 0.0)
-        active[idx[b]] = False
+        else:
+            _ratio_step(lam, idx, y, active)
 
-    sol = _solution(lam, G, H, zeros, zeros, 1.0, tol, iterations, converged)
+    sol = _solution(lam, G, H, zeros, zeros, 1.0, iterations, converged)
     if shift:
         sol.g_tilde = np.ldexp(sol.g_tilde, -shift)
         sol.w = math.ldexp(sol.w, -2 * shift)

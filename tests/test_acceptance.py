@@ -71,7 +71,7 @@ def test_criterion_01_qp_grid_equivalence():
         inst = SimplexQpInstance(rng.standard_normal((p, n)),
                                  rng.uniform(0.0, 1.0, p),
                                  float(rng.choice([0.1, 1.0, 10.0])))
-        sol = solve_simplex_qp(inst, tol=1e-10)
+        sol = solve_simplex_qp(inst)
         grid = grid_min_objective(inst.atoms, inst.errors, inst.penalty_scale)
         gap = grid - sol.w
         assert gap >= -1e-9, "solver worse than a grid point"

@@ -218,7 +218,10 @@ class TestCli:
         ["--solver", "bgs", "--problem", "nosuch", "--n", "5"],
         ["--solver", "bgs", "--problem", "QL", "--n", "5"],
         ["--solver", "gs", "--problem", "QL", "--m", "0"],
-    ], ids=["unknown-problem", "fixed-dimension", "zero-sample-size"])
+        *(["--solver", "gs", "--problem", "ChainedLQ", "--n", "8", f"--{key}", "0.5"]
+          for key in ("mu", "alpha", "gamma", "beta", "theta", "sigma")),
+    ], ids=["unknown-problem", "fixed-dimension", "zero-sample-size",
+            *(f"gs-takes-no-{key}" for key in ("mu", "alpha", "gamma", "beta", "theta", "sigma"))])
     def test_bad_problem_or_solver_option_is_refused(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -227,9 +230,9 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("line", ["eps0=abc", "tolerance=1e-9", "m=4.7", "solver=xyz",
-                                      "no equals sign"],
+                                      "no equals sign", "solver=gs\ntheta=0.1"],
                              ids=["non-number", "unknown-key", "fractional-m", "unknown-solver",
-                                  "not-key-value"])
+                                  "not-key-value", "gs-takes-no-theta"])
     def test_bad_config_file_entry_is_refused(self, line, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"solver=bgs\nproblem=ChainedLQ\nn=8\nreps=1\n{line}\n")

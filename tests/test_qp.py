@@ -87,7 +87,7 @@ def test_kkt_certificate():
     rng = np.random.default_rng(5)
     for _ in range(50):
         inst = random_instance(rng)
-        assert_kkt_certificate(inst, solve_simplex_qp(inst, tol=1e-10))
+        assert_kkt_certificate(inst, solve_simplex_qp(inst))
 
 
 def test_perturbation_never_improves():
@@ -154,6 +154,8 @@ def test_input_validation():
         SimplexQpInstance(np.ones((1, 2)), [-1e-6], 1.0)
     with pytest.raises(ValueError):
         SimplexQpInstance(np.ones((1, 2)), [0.0], 0.0)
+    with pytest.raises(ValueError, match="penalty_scale must be finite"):
+        SimplexQpInstance(np.ones((1, 2)), [0.0], np.inf)
     # tiny negative errors are clamped to zero
     inst = SimplexQpInstance(np.ones((1, 2)), [-1e-13], 1.0)
     assert inst.errors[0] == 0.0
@@ -192,15 +194,20 @@ def test_finite_atoms_with_overflowing_sum_accepted():
 
 
 # finite atoms of norm past about 1.3e154 overflow G G'; both kernels must
-# raise their typed error before LAPACK prints to stdout and fails untyped
+# raise their typed error before LAPACK prints to stdout and fails untyped.
+# So must a finite penalty term penalty_scale * e_j that overflows, and
+# without numpy's overflow warning.
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-@pytest.mark.parametrize("kernel, atoms", [
-    pytest.param(kernel, atoms, id=prefix + name)
+@pytest.mark.parametrize("kernel, atoms, errors, scale, match", [
+    pytest.param(kernel, atoms, np.zeros(len(atoms)), 1.0, "Gram matrix overflows",
+                 id=prefix + name)
     for prefix, kernel in (("", "qp"), ("nearest-", "nearest"))
-    for name, atoms in (("one", [[1e155, 0.0]]), ("two", [[1e155, 0.0], [0.0, 1.0]]))])
-def test_overflowing_gram_raises_typed_error(kernel, atoms, capfd):
-    inst = SimplexQpInstance(atoms, np.zeros(len(atoms)), 1.0)
-    with pytest.raises(QpFailureError, match="Gram matrix overflows"):
+    for name, atoms in (("one", [[1e155, 0.0]]), ("two", [[1e155, 0.0], [0.0, 1.0]]))] + [
+    pytest.param("qp", [[1.0, 0.0], [0.0, 1.0]], [0.0, 1e300], 1e10, "penalty terms overflow",
+                 id="penalty")])
+def test_overflowing_gram_raises_typed_error(kernel, atoms, errors, scale, match, capfd):
+    inst = SimplexQpInstance(atoms, errors, scale)
+    with pytest.raises(QpFailureError, match=match):
         if kernel == "qp":
             solve_simplex_qp(inst)
         else:
@@ -216,9 +223,11 @@ def test_overflowing_gram_raises_typed_error(kernel, atoms, capfd):
 # ---------------------------------------------------------------------------
 
 
-def assert_same_solution(inst, **kwargs):
-    got = solve_simplex_qp(inst, **kwargs)
-    want = reference_solve_simplex_qp(inst, **kwargs)
+def assert_same_solution(inst, warm_start=None, max_iter=None):
+    # `max_iter` goes to the reference only: a test that sets it patches
+    # qp._max_pivots to the same limit
+    got = solve_simplex_qp(inst, warm_start=warm_start)
+    want = reference_solve_simplex_qp(inst, warm_start=warm_start, max_iter=max_iter)
     for name in SOLUTION_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
@@ -283,7 +292,7 @@ def test_matches_reference_on_gradient_sampling_hulls():
     rng = np.random.default_rng(105)
     for pieces in (2, 5, 20, 101):
         inst = SimplexQpInstance(_hull(rng, 101, 50, pieces), np.zeros(101), 1.0)
-        assert_same_solution(inst, tol=1e-10)
+        assert_same_solution(inst)
 
 
 def test_matches_reference_on_large_bundles():
@@ -295,7 +304,8 @@ def test_matches_reference_on_large_bundles():
         assert_same_solution(inst, warm_start=rng.uniform(0.0, 1.0, 51))
 
 
-def test_matches_reference_with_one_pivot():
+def test_matches_reference_with_one_pivot(monkeypatch):
+    monkeypatch.setattr(qp, "_max_pivots", lambda p: 1)
     rng = np.random.default_rng(107)
     for _ in range(30):
         inst = random_instance(rng, max_atoms=6, max_dim=4)
@@ -314,9 +324,10 @@ def _three_corners():
                              [0.0, 0.1, 0.2], 1.0)
 
 
-def test_projected_gradient_polish():
+def test_projected_gradient_polish(monkeypatch):
     inst = _three_corners()
     assert solve_simplex_qp(inst).iterations > 1
+    monkeypatch.setattr(qp, "_max_pivots", lambda p: 1)
     sol = assert_same_solution(inst, max_iter=1)
     # one active-set pivot, then the FISTA polish's own iterations
     assert sol.iterations > 1
@@ -324,7 +335,27 @@ def test_projected_gradient_polish():
     assert_kkt_certificate(inst, sol)
 
 
-def test_singular_bordered_matrix_falls_back_to_lstsq(monkeypatch):
+def assert_pivots_recover(kernel, monkeypatch, patched_solve):
+    # Both kernels pivot through the same solve and fall back to least
+    # squares; the bundle kernel must still match the reference bit for bit,
+    # and the nearest-point kernel must still find the reference's hull point.
+    inst = _three_corners()
+    if kernel == "nearest":
+        inst = SimplexQpInstance(inst.atoms, np.zeros(inst.n_atoms), 1.0)
+        want = reference_solve_simplex_qp(inst)
+    monkeypatch.setattr(np.linalg, "solve", patched_solve)
+    if kernel == "qp":
+        sol = assert_same_solution(inst)
+        assert sol.converged
+        assert_kkt_certificate(inst, sol)
+    else:
+        sol = min_norm_point(inst.atoms)
+        assert sol.converged
+        np.testing.assert_allclose(sol.g_tilde, want.g_tilde, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", ["qp", "nearest"])
+def test_singular_bordered_matrix_falls_back_to_lstsq(kernel, monkeypatch):
     # With delta * I on the H block, LAPACK finds no exactly zero pivot for
     # any finite instance whose Gram matrix does not overflow, so the
     # singular report it gives for one is simulated here.
@@ -334,27 +365,34 @@ def test_singular_bordered_matrix_falls_back_to_lstsq(monkeypatch):
         calls.append(a.shape)
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    inst = _three_corners()
-    sol = assert_same_solution(inst)
+    assert_pivots_recover(kernel, monkeypatch, singular)
     assert calls
-    assert sol.converged
-    assert_kkt_certificate(inst, sol)
 
 
-def test_non_finite_restricted_solution_falls_back_to_lstsq(monkeypatch):
+@pytest.mark.parametrize("kernel", ["qp", "nearest"])
+def test_non_finite_restricted_solution_falls_back_to_lstsq(kernel, monkeypatch):
+    # a non-finite weight, which a pivot would otherwise take as it is
     real_solve = np.linalg.solve
+    calls = []
 
     def blown_up(a, b):
+        calls.append(a.shape)
         y = real_solve(a, b)
-        y[-1] = np.inf
+        y[0] = np.inf
         return y
 
-    monkeypatch.setattr(np.linalg, "solve", blown_up)
-    inst = _three_corners()
-    sol = assert_same_solution(inst)
-    assert sol.converged
-    assert_kkt_certificate(inst, sol)
+    assert_pivots_recover(kernel, monkeypatch, blown_up)
+    assert calls
+
+
+def test_polish_of_a_hull_whose_gram_norm_overflows():
+    # H is finite, but the square of its Frobenius norm overflows; the polish
+    # still finds a Lipschitz bound, without numpy's overflow warning (an
+    # error in this suite).  The atom norms span 1e200, so neither kernel
+    # reaches the tolerance.
+    G = np.array([[-0.1, 0.6], [1e99, -5e99], [4e-101, 1.3e-100], [9e99, -7e99]])
+    assert not solve_simplex_qp(SimplexQpInstance(G, np.zeros(4), 1.0)).converged
+    assert not min_norm_point(G).converged
 
 
 # ---------------------------------------------------------------------------
