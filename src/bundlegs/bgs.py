@@ -48,6 +48,11 @@ from .sampling import sample_ball
 # ends a chain
 _INNER_LIMIT_FACTOR = 500
 
+# `run` stops on "converged" once v <= _EPS_TOL and on "radius_floor" once the
+# radius is below _MIN_RADIUS; `fdp_perturb` stays within _FDP_SIGMA of x + d
+_EPS_TOL = 1e-16
+_MIN_RADIUS = 1e-12
+_FDP_SIGMA = 1e-8
 # trials of `fdp_perturb`, each at half the previous radius, before it gives up
 _FDP_MAX_HALVINGS = 64
 
@@ -65,25 +70,24 @@ class StepKind(enum.Enum):
 
 @dataclass
 class SolverConfig:
-    """All user parameters of the solver.
+    """The parameters of the solver that a caller sets.
 
     The defaults are the safe practical values: eps0=1, mu=0.5, alpha=0.5,
     gamma=0.9, beta=1e-6, theta=0.9.  When `m` is None it resolves to 2n for
-    n <= 20 and ceil(n/10) otherwise.
+    n <= 20 and ceil(n/10) otherwise.  `differentiability_checks` turns on
+    the FDP1/FDP2 perturbations, `collect_diagnostics` the per-record audits;
+    the tolerances `_EPS_TOL`, `_MIN_RADIUS` and `_FDP_SIGMA` are fixed.
     """
 
     eps0: float = 1.0
     mu: float = 0.5
     m: Optional[int] = None
     beta: float = 1e-6
-    sigma: float = 1e-8
     alpha: float = 0.5
     gamma: float = 0.9
     theta: float = 0.9
-    eps_tol: float = 1e-16
     seed: int = 0
     max_outer: int = 1000
-    min_radius: float = 1e-12
     differentiability_checks: bool = False
     collect_diagnostics: bool = False
 
@@ -96,18 +100,17 @@ class SolverConfig:
             raise ValueError("m must be nonnegative")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        try:
+            # the radius never grows, so every eps^alpha is finite
+            self.eps0 ** self.alpha
+        except OverflowError:
+            raise ValueError(f"eps0 ** alpha overflows ({self.eps0} ** {self.alpha})") from None
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must be in [0, 1]")
-        if self.eps_tol < 0:
-            raise ValueError("eps_tol must be nonnegative")
-        if not self.min_radius > 0:
-            raise ValueError("min_radius must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -294,18 +297,8 @@ def direction_from_dual(agg: SimplexQpSolution | AggregateAtom, eps_k: float,
                        v=0.5 * gg + e, w=0.5 * gg + e / scale)
 
 
-def sufficient_decrease(
-    oracle: ObjectiveOracle,
-    x_k: np.ndarray,
-    f_xk: float,
-    d: np.ndarray,
-    z: float,
-    beta: float,
-    f_trial: float | None = None,
-) -> bool:
-    """True iff f(x_k + d) - f(x_k) <= beta * z."""
-    if f_trial is None:
-        f_trial = oracle.f(np.asarray(x_k, dtype=float) + np.asarray(d, dtype=float))
+def sufficient_decrease(f_xk: float, f_trial: float, z: float, beta: float) -> bool:
+    """True iff f(x_k + d) - f(x_k) <= beta * z, given f_xk = f(x_k) and f_trial = f(x_k + d)."""
     return f_trial - f_xk <= beta * z
 
 
@@ -343,40 +336,38 @@ def fdp_perturb(
     x: np.ndarray,
     f_x: float,
     d: np.ndarray,
+    f_d: float,
     beta: float,
     z: float,
-    sigma: float,
     mode: str,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Differentiable perturbation of x + d that preserves the step's status.
 
     mode "FDP1" requires (and preserves) f(x+d) - f_x <= beta*z on entry;
-    "FDP2" the strict opposite; f_x is f(x).  x_hat is resampled from
-    B(x, sigma_hat) with sigma_hat halved per trial until x_hat + d is a
-    differentiable point with the mode's inequality intact, so the output
-    stays within sigma of x + d.
+    "FDP2" the strict opposite; f_x is f(x), f_d is f(x + d).  x_hat is
+    resampled from B(x, sigma_hat), sigma_hat = `_FDP_SIGMA` halved per trial,
+    until x_hat + d is a differentiable point with the mode's inequality
+    intact.  Returns that point and f there, evaluated once and not at x + d.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if mode not in ("FDP1", "FDP2"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
 
-    def acceptable(point: np.ndarray) -> bool:
-        if not oracle.differentiable_at(point):
-            return False
-        gap = oracle.f(point) - f_x
-        return gap <= beta * z if mode == "FDP1" else gap > beta * z
-
-    x_hat = x
-    sigma_hat = sigma
+    point, f_point = x + d, f_d
+    sigma_hat = _FDP_SIGMA
     for _ in range(_FDP_MAX_HALVINGS):
-        if acceptable(x_hat + d):
-            return x_hat + d
-        x_hat = sample_ball(x, sigma_hat, 1, rng)[0]
+        if oracle.differentiable_at(point):
+            if f_point is None:
+                f_point = oracle.f(point)
+            gap = f_point - f_x
+            if gap <= beta * z if mode == "FDP1" else gap > beta * z:
+                return point, f_point
+        point, f_point = sample_ball(x, sigma_hat, 1, rng)[0] + d, None
         sigma_hat *= 0.5
     warnings.warn(f"{mode}: no acceptable perturbation within {_FDP_MAX_HALVINGS} trials")
-    return x_hat + d
+    return point, oracle.f(point)
 
 
 def improvement_criterion(e_new: float, agg: AggregateAtom, f_gap: float, gamma: float) -> bool:
@@ -452,8 +443,15 @@ def aggregate(lam: np.ndarray, rows: np.ndarray) -> AggregateAtom:
 
 def _solve_model(rows: np.ndarray, scale: float, warm: np.ndarray | None,
                  where: str) -> SimplexQpSolution:
-    """The dual subproblem over the rows [g_j, e_j]; QpFailureError if it stalls."""
-    inst = SimplexQpInstance(np.ascontiguousarray(rows[:, :-1]), rows[:, -1], scale)
+    """The dual subproblem over the rows [g_j, e_j]; QpFailureError if a row
+    overflowed or the QP stalls."""
+    try:
+        inst = SimplexQpInstance(np.ascontiguousarray(rows[:, :-1]), rows[:, -1], scale)
+    except ValueError as exc:
+        # the rows hold finite gradients and errors >= 0, so only an overflow
+        # gets here: of a linearization error, or of the aggregate's sum
+        cause = "a linearization error overflows" if math.isinf(rows[:, -1].max()) else exc
+        raise QpFailureError(f"{where}: {cause}") from None
     sol = solve_simplex_qp(inst, warm_start=warm)
     if not sol.converged:
         raise QpFailureError(f"{where} stalled (residual {sol.kkt_residual:.3e})")
@@ -474,8 +472,8 @@ def run(
 ) -> RunResult:
     """Minimize the oracle's objective from x0.
 
-    Stops when the stationarity measure v falls to config.eps_tol, the outer
-    budget runs out, the sampling radius drops below config.min_radius, or
+    Stops when the stationarity measure v falls to `_EPS_TOL`, the outer
+    budget runs out, the sampling radius drops below `_MIN_RADIUS`, or
     `stop_callback` (called with every emitted trace record) returns True.
     Every gradient evaluation is counted in the trace.
 
@@ -524,22 +522,23 @@ def run(
         )
 
     f_x = oracle.f(x)
-    outer = 0
     k = 0
     while stop_reason is None:
         if k >= config.max_outer:
             stop_reason = "budget"
             break
-        if eps < config.min_radius:
+        if eps < _MIN_RADIUS:
             stop_reason = "radius_floor"
             break
-        outer += 1
+        try:
+            scale = eps ** (-config.alpha)
+        except OverflowError:
+            raise QpFailureError(f"eps^-alpha overflows at k={k}, eps={eps:.3e}") from None
 
         # rows [g_j, e_j] of the model and their multipliers; row 0 is x_k's
         rows, spent = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode)
         g_evals += spent
         grad_xk = rows[0, :-1]
-        scale = eps ** (-config.alpha)
         sol = _solve_model(rows, scale, None, f"initial subproblem at k={k}")
         lam = sol.lam
         # the initial aggregate is the QP's own lam @ G: the row-by-row sum of
@@ -557,7 +556,7 @@ def run(
                     f"(v={step.v:.3e}, w={step.w:.3e}, eps={eps:.3e}); stopping")
                 stop_reason = "inner_limit"
                 break
-            if step.v <= config.eps_tol:
+            if step.v <= _EPS_TOL:
                 emit(k, i, f_x, step, StepKind.CONVERGED,
                      make_diag(step, agg, f_x, grad_xk))
                 stop_reason = "converged"
@@ -565,8 +564,7 @@ def run(
 
             trial = x + step.direction
             f_trial = oracle.f(trial)
-            if sufficient_decrease(oracle, x, f_x, step.direction, step.z, config.beta,
-                                   f_trial=f_trial):
+            if sufficient_decrease(f_x, f_trial, step.z, config.beta):
                 # serious step: radius unchanged
                 t = 1.0
                 if i == 0:
@@ -577,9 +575,8 @@ def run(
                     if t > 1.0:
                         trial = x + t * step.direction
                 if checks:
-                    x_next = fdp_perturb(oracle, x, f_x, t * step.direction, config.beta,
-                                         t * step.z, config.sigma, "FDP1", rng)
-                    f_next = f_trial if np.array_equal(x_next, trial) else oracle.f(x_next)
+                    x_next, f_next = fdp_perturb(oracle, x, f_x, t * step.direction, f_trial,
+                                                 config.beta, t * step.z, "FDP1", rng)
                 else:
                     x_next, f_next = trial, f_trial
                 diag = make_diag(step, agg, f_x, grad_xk)
@@ -591,9 +588,8 @@ def run(
 
             # improvement process: new auxiliary point and linearization
             if checks:
-                s_new = fdp_perturb(oracle, x, f_x, step.direction, config.beta,
-                                    step.z, config.sigma, "FDP2", rng)
-                f_s = f_trial if np.array_equal(s_new, trial) else oracle.f(s_new)
+                s_new, f_s = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
+                                         config.beta, step.z, "FDP2", rng)
             else:
                 s_new, f_s = trial, f_trial
             g_new = gradient(oracle, mode, s_new, f_x=f_s)
@@ -650,6 +646,5 @@ def run(
 
         k += 1
 
-    return RunResult(x=x, f=f_x, trace=trace,
-                     stop_reason=stop_reason or "budget",
-                     outer_iters=outer, grad_evals=g_evals)
+    return RunResult(x=x, f=f_x, trace=trace, stop_reason=stop_reason,
+                     outer_iters=k, grad_evals=g_evals)

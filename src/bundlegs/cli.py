@@ -12,7 +12,7 @@ from .harness import ExperimentSpec, load_config_file, run_experiment
 from .problems import catalog, make_problem
 
 # options of the bundle solver that the GS baseline has no use for
-_BGS_ONLY = ("mu", "alpha", "gamma", "beta", "theta", "sigma")
+_BGS_ONLY = ("mu", "alpha", "gamma", "beta", "theta")
 _SOLVER_KEYS_BGS = ("m", "eps0") + _BGS_ONLY
 _SOLVER_KEYS_GS = ("eps0",)
 # parser options that steer the CLI itself and are no experiment option
@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, help="linearization-error scale")
     p.add_argument("--beta", type=float, help="sufficient-decrease parameter")
     p.add_argument("--theta", type=float, help="maximum multiplier weight kept")
-    p.add_argument("--sigma", type=float, help="maximum allowable perturbation")
     p.add_argument("--fd", type=float, metavar="H",
                    help="use forward-difference gradients with step H")
     p.add_argument("--out", help="output path for the per-run report")

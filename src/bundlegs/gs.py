@@ -89,7 +89,6 @@ def gs_run(
     f_x = oracle.f(x)
     g_evals = 0
     trace: list[GsTraceRecord] = []
-    stop_reason = None
     iters = 0
     # row 0 the gradient at x_k, then the sampled block
     grads = np.empty((sample_size + 1, n))
@@ -141,8 +140,8 @@ def gs_run(
         if stop_callback is not None and stop_callback(rec):
             stop_reason = "callback"
             break
-    if stop_reason is None:
-        stop_reason = "budget" if iters >= config.max_iters else "radius_floor"
+    else:  # every iteration ran
+        stop_reason = "budget"
 
     return RunResult(x=x, f=f_x, trace=trace, stop_reason=stop_reason,
                      outer_iters=iters, grad_evals=g_evals)

@@ -118,6 +118,19 @@ def huge_gradient_oracle() -> ObjectiveOracle:
     )
 
 
+def steep_oracle() -> ObjectiveOracle:
+    """f(x) = 1e308 * |x_1| + |x_2| from (0.5, 0): finite near x0, with
+    linearization errors that overflow."""
+    return ObjectiveOracle(
+        name="steep",
+        dimension=2,
+        f_star=0.0,
+        x0=np.array([0.5, 0.0]),
+        eval_f=lambda x: 1e308 * abs(float(x[0])) + abs(float(x[1])),
+        eval_grad=lambda x: np.array([1e308 * np.sign(x[0]), np.sign(x[1])]),
+    )
+
+
 def relative_err(f_val: float, f_star: float) -> float:
     return (f_val - f_star) / (abs(f_star) + 1.0)
 

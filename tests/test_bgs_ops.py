@@ -146,56 +146,85 @@ class TestDirectionFromDual:
 
 class TestSufficientDecrease:
     def test_zero_step(self):
-        o = quadratic_oracle(2)
-        assert sufficient_decrease(o, np.zeros(2), 0.0, np.zeros(2), 0.0, 0.5)
+        assert sufficient_decrease(0.0, 0.0, 0.0, 0.5)
 
     def test_big_drop(self):
-        o = quadratic_oracle(2)
-        x = np.array([1.0, 0.0])
-        assert sufficient_decrease(o, x, 1.0, np.array([-1.0, 0.0]), -1.0, 1e-6)
+        # f = ||x||^2 from (1, 0) by d = (-1, 0)
+        assert sufficient_decrease(1.0, 0.0, -1.0, 1e-6)
 
     def test_increase_fails(self):
-        o = abs_oracle()
-        assert not sufficient_decrease(o, np.array([1.0]), 1.0, np.array([1.0]), -0.1, 1e-6)
+        # f = |x| from 1 by d = 1
+        assert not sufficient_decrease(1.0, 2.0, -0.1, 1e-6)
+
+
+def _counting(oracle):
+    """The oracle with every `eval_f` point recorded in the returned list."""
+    points = []
+
+    def eval_f(x):
+        points.append(x.copy())
+        return oracle.eval_f(x)
+    return replace(oracle, eval_f=eval_f), points
 
 
 class TestFdpPerturb:
     def test_already_acceptable_is_unchanged(self):
-        o = quadratic_oracle(2)
+        # x + d and f there are returned as they came, without an evaluation
+        o, points = _counting(quadratic_oracle(2))
         rng = np.random.default_rng(0)
         x, d = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        out = fdp_perturb(o, x, o.f(x), d, 0.5, -1.0, 0.1, "FDP1", rng)
+        out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -1.0, "FDP1", rng)
         np.testing.assert_array_equal(out, x + d)
+        assert f_out == 0.0 and points == []
 
     def test_kink_gets_perturbed_within_sigma(self):
         # x + d lands exactly on the kink of |x|; the result must move off it,
-        # stay within sigma, and keep the decrease condition
-        o = abs_oracle()
+        # stay within the perturbation radius, and keep the decrease condition
+        o, points = _counting(abs_oracle())
         rng = np.random.default_rng(5)
-        sigma = 0.05
         x, d = np.array([1.0]), np.array([-1.0])
-        out = fdp_perturb(o, x, o.f(x), d, 0.5, -1.0, sigma, "FDP1", rng)
+        out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -1.0, "FDP1", rng)
         assert out[0] != 0.0
-        assert abs(out[0] - 0.0) < sigma
-        assert o.f(out) - o.f(x) <= 0.5 * -1.0
+        assert abs(out[0] - 0.0) < bgs._FDP_SIGMA
+        assert f_out == o.f(out)
+        assert f_out - 1.0 <= 0.5 * -1.0
+        # the kink x + d is not differentiable and costs no evaluation
+        assert len(points) == 2 and all(p[0] != 0.0 for p in points)
 
     def test_fdp2_preserves_violation(self):
         # trial lands on the kink while f(x+d) - f(x) = -0.5 > beta*z = -0.9;
         # the perturbation must move off the kink keeping the inequality
-        o = abs_oracle()
+        o, points = _counting(abs_oracle())
         rng = np.random.default_rng(6)
         x, d = np.array([0.5]), np.array([-0.5])
-        out = fdp_perturb(o, x, o.f(x), d, 0.9, -1.0, 0.05, "FDP2", rng)
+        out, f_out = fdp_perturb(o, x, 0.5, d, 0.0, 0.9, -1.0, "FDP2", rng)
         assert out[0] != 0.0
-        assert abs(out[0]) < 0.05
-        assert o.f(out) - o.f(x) > 0.9 * -1.0
+        assert abs(out[0]) < bgs._FDP_SIGMA
+        assert f_out == o.f(out)
+        assert f_out - 0.5 > 0.9 * -1.0
+        assert len(points) == 2
 
-    def test_tiny_sigma_contract(self):
-        o = abs_oracle()
+    def test_tiny_sigma_contract(self, monkeypatch):
+        # no trial point is evaluated twice, and none leaves the radius
+        monkeypatch.setattr(bgs, "_FDP_SIGMA", 1e-3)
+        o, points = _counting(abs_oracle())
         rng = np.random.default_rng(7)
-        out = fdp_perturb(o, np.array([1.0]), 1.0, np.array([-1.0]), 0.5, -1.0, 1e-8,
-                          "FDP1", rng)
-        assert abs(out[0] - 0.0) <= 1e-8
+        out, f_out = fdp_perturb(o, np.array([1.0]), 1.0, np.array([-1.0]), 0.0, 0.5, -1.0,
+                                 "FDP1", rng)
+        assert abs(out[0] - 0.0) <= 1e-3
+        assert f_out == o.f(out) == abs(out[0])
+        assert len(points) == 2
+
+    def test_fdp1_that_finds_no_point_evaluates_its_last_draw_once(self):
+        # FDP1 can never hold when beta*z is below -f(x): every draw fails
+        o, points = _counting(abs_oracle())
+        rng = np.random.default_rng(8)
+        x, d = np.array([1.0]), np.array([-1.0])
+        with pytest.warns(UserWarning, match="no acceptable perturbation"):
+            out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -4.0, "FDP1", rng)
+        assert f_out == abs(out[0])
+        np.testing.assert_array_equal(points[-1], out)
+        assert len({p.tobytes() for p in points}) == len(points)
 
 
 class TestImprovementCriterion:

@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import huge_gradient_oracle, quadratic_oracle
+from helpers import huge_gradient_oracle, quadratic_oracle, steep_oracle
 
-from bundlegs import bgs, gs
+from bundlegs import bgs, gs, harness
 from bundlegs.bgs import QpFailureError, SolverConfig, StepKind, run
-from bundlegs.harness import perturb_start
+from bundlegs.harness import ExperimentSpec, perturb_start
 from bundlegs.problems import GradientMode, make_problem
 from bundlegs.qp import SimplexQpInstance
 
@@ -64,6 +64,17 @@ def test_differentiability_checks_spend_no_uncounted_gradient():
     res = run(probe, SolverConfig(seed=0, m=4, max_outer=30, differentiability_checks=True))
     assert res.grad_evals == len(calls) == 21
     assert (res.f.hex(), res.stop_reason) == ("0x1.4140000000000p-97", "converged")
+
+
+def test_differentiability_checks_evaluate_no_point_twice():
+    # fdp_perturb starts from the trial value run holds and returns the value
+    # of the point it picks, so every objective call is at a new point
+    points = []
+    oracle = make_problem("ChainedLQ", 10)
+    probe = replace(oracle, eval_f=lambda x: points.append(x.tobytes()) or oracle.eval_f(x))
+    res = run(probe, SolverConfig(seed=4, m=8, max_outer=30, differentiability_checks=True))
+    assert len(points) == len(set(points)) == 340
+    assert res.stop_reason == "budget"
 
 
 def test_trace_invariants_across_problems():
@@ -145,9 +156,10 @@ def test_inner_w_monotone_and_nonredundant_cuts():
             assert abs(d.model_z_max - d.z) <= 1e-8 * (1.0 + abs(d.z))
 
 
-def test_converged_stop_on_stationarity():
+def test_converged_stop_on_stationarity(monkeypatch):
+    monkeypatch.setattr(bgs, "_EPS_TOL", 1e-12)
     oracle = quadratic_oracle(2)
-    cfg = SolverConfig(seed=1, m=4, max_outer=100, eps_tol=1e-12)
+    cfg = SolverConfig(seed=1, m=4, max_outer=100)
     res = run(oracle, cfg)
     assert res.stop_reason == "converged"
     assert res.trace[-1].kind == StepKind.CONVERGED
@@ -159,9 +171,9 @@ def test_budget_and_radius_floor_stops():
     res = run(oracle, SolverConfig(seed=2, m=4, max_outer=3))
     assert res.stop_reason == "budget"
     assert res.outer_iters == 3
-    res = run(oracle, SolverConfig(seed=2, m=4, max_outer=500, eps0=1e-11,
-                                   min_radius=1e-10))
+    res = run(oracle, SolverConfig(seed=2, m=4, max_outer=500, eps0=0.5 * bgs._MIN_RADIUS))
     assert res.stop_reason == "radius_floor"
+    assert (res.outer_iters, res.grad_evals, res.trace) == (0, 0, [])
 
 
 def test_callback_stop():
@@ -222,6 +234,30 @@ def test_rosen_inner_loop_does_not_stall():
 def test_overflowing_gram_raises_qp_failure():
     with pytest.raises(QpFailureError, match="Gram matrix overflows"):
         run(huge_gradient_oracle(), SolverConfig(seed=0, m=3))
+
+
+# the errors' dots overflow; the model is refused before the QP sees it
+@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot:RuntimeWarning")
+@pytest.mark.parametrize("seed", [3, 5])
+def test_overflowing_linearization_error_aborts_the_run(seed):
+    with pytest.raises(QpFailureError, match="a linearization error overflows"):
+        run(steep_oracle(), SolverConfig(seed=seed, m=4, eps0=4.0),
+            perturb_start(steep_oracle().x0, 2, np.random.default_rng([seed, 1])))
+    spec = ExperimentSpec(solver="bgs", problem="steep", n=2, replications=1,
+                          solver_options={"m": 4, "eps0": 4.0}, measure_time=False)
+    report, result = harness._single_run(spec, steep_oracle(), seed, 5e-4)
+    assert result is None
+    assert report.stop_reason == ("abort: initial subproblem at k=0: "
+                                  "a linearization error overflows")
+
+
+def test_overflowing_penalty_scale_raises_qp_failure():
+    # eps^-alpha = 1e360 at the first radius
+    with pytest.raises(QpFailureError, match=r"eps\^-alpha overflows at k=0"):
+        run(make_problem("ChainedLQ", 10), SolverConfig(alpha=40.0, eps0=1e-9))
+    # eps0^alpha = 1e310: every later radius is smaller, so only eps0 is checked
+    with pytest.raises(ValueError, match=r"eps0 \*\* alpha overflows"):
+        SolverConfig(alpha=31.0, eps0=1e10)
 
 
 def test_bad_x0_rejected():

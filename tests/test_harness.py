@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ class TestCli:
             want.add(action.dest)
         merged = cli._merge(parser.parse_args(argv))
         assert set(merged) == want
-        assert {"solver", "problem", "fd", "trace", "sigma"} <= want
+        assert {"solver", "problem", "fd", "trace"} <= want
 
     def test_missing_args(self, capsys):
         assert cli.main([]) == 2
@@ -219,9 +220,9 @@ class TestCli:
         ["--solver", "bgs", "--problem", "QL", "--n", "5"],
         ["--solver", "gs", "--problem", "QL", "--m", "0"],
         *(["--solver", "gs", "--problem", "ChainedLQ", "--n", "8", f"--{key}", "0.5"]
-          for key in ("mu", "alpha", "gamma", "beta", "theta", "sigma")),
+          for key in ("mu", "alpha", "gamma", "beta", "theta")),
     ], ids=["unknown-problem", "fixed-dimension", "zero-sample-size",
-            *(f"gs-takes-no-{key}" for key in ("mu", "alpha", "gamma", "beta", "theta", "sigma"))])
+            *(f"gs-takes-no-{key}" for key in ("mu", "alpha", "gamma", "beta", "theta"))])
     def test_bad_problem_or_solver_option_is_refused(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -241,6 +242,34 @@ class TestCli:
         assert captured.out == "" and not (tmp_path / "o.csv").exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    # a value away from the default for each bgs option the CLI forwards
+    BGS_OPTION_VALUES = {"m": "3", "eps0": "0.3", "mu": "0.2", "alpha": "0.9",
+                         "gamma": "0.5", "beta": "0.3", "theta": "0.5"}
+
+    @staticmethod
+    def _run_summary(extra, capsys):
+        argv = ["--solver", "bgs", "--problem", "ChainedLQ", "--n", "6", "--reps", "1",
+                "--tol", "1e-4", *extra]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        return re.search(r"g_eval=(\d+) E_final=(\S+)", out).groups()
+
+    def test_bgs_option_values_cover_every_forwarded_option(self):
+        assert set(self.BGS_OPTION_VALUES) == set(cli._SOLVER_KEYS_BGS)
+
+    @pytest.mark.parametrize("key", sorted(BGS_OPTION_VALUES))
+    def test_every_forwarded_bgs_option_changes_the_run(self, key, capsys):
+        default = self._run_summary([], capsys)
+        assert self._run_summary([f"--{key}", self.BGS_OPTION_VALUES[key]], capsys) != default
+
+    def test_overflowing_penalty_scale_aborts_the_run(self, capsys):
+        code = cli.main(["--solver", "bgs", "--problem", "ChainedLQ", "--n", "10", "--reps", "1",
+                         "--alpha", "40", "--eps0", "1e-9"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "[abort: eps^-alpha overflows at k=0" in captured.out
+        assert captured.err == "error: 1 run(s) aborted\n"
 
     def test_full_run(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
