@@ -92,16 +92,16 @@ class SolverConfig:
     collect_diagnostics: bool = False
 
     def __post_init__(self) -> None:
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
+        if not 0.0 < self.eps0 < math.inf:
+            raise ValueError("eps0 must be positive and finite")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must be in (0, 1)")
         if self.m is not None and self.m < 0:
             raise ValueError("m must be nonnegative")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         try:
             # the radius never grows, so every eps^alpha is finite
             self.eps0 ** self.alpha
@@ -111,6 +111,8 @@ class SolverConfig:
             raise ValueError("gamma must be in (0, 1)")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -483,7 +485,9 @@ def run(
     over the last m + 1 enrichments.  A serious step taken from the initial
     model (inner index 0) is stretched by `extrapolate`.  A cap of
     `_INNER_LIMIT_FACTOR` * (m + 1) enrichments per outer iteration only
-    guards against a hang (stop reason "inner_limit").
+    guards against a hang.  It is reported by the stop reason "inner_limit"
+    alone, with no warning; the last record holds v, w and the radius.  A
+    callback that returns True on the converged record leaves "converged".
     """
     mode = grad_mode or GradientMode.exact()
     strict = mode.strict
@@ -504,22 +508,29 @@ def run(
     # model has at most m + 3 rows, and a longer one gets a larger buffer
     buffers = [np.empty((2 * m + 6, n + 1)) for _ in range(2)]
 
-    def emit(k, i, f_val, step, kind, diag=None) -> bool:
+    def emit(kind, f_val) -> None:
+        # reads k, i, x, f_x, agg, step, grad_xk and eps before any of them
+        # moves; a callback stop never overrides a recorded convergence
+        nonlocal stop_reason
+        diag = None
+        if config.collect_diagnostics:
+            diag = StepDiagnostics(
+                x_k=x.copy(), f_xk=f_x, g_tilde=agg.g_tilde.copy(),
+                e_tilde=agg.e_tilde, d=step.direction.copy(), z=step.z,
+                eps_alpha=eps ** config.alpha, grad_xk=grad_xk.copy(),
+            )
+            if kind is StepKind.INNER_ENRICH:
+                diag.new_atom_grad, diag.new_atom_err = g_new.copy(), e_new
+                diag.d_prev, diag.z_prev = prior.direction.copy(), prior.z
+                # per row: a matmul rounds this diagnostic differently
+                diag.model_z_max = max(float(r[:-1] @ step.direction) - r[-1] for r in model)
         rec = IterationTrace(
             k=k, i=i, f_val=f_val, v=step.v, w=step.w, radius=eps,
             kind=kind, grad_evals_cum=g_evals, diag=diag,
         )
         trace.append(rec)
-        return bool(stop_callback(rec)) if stop_callback is not None else False
-
-    def make_diag(step, agg, f_xk_val, grad_xk, **extra):
-        if not config.collect_diagnostics:
-            return None
-        return StepDiagnostics(
-            x_k=x.copy(), f_xk=f_xk_val, g_tilde=agg.g_tilde.copy(),
-            e_tilde=agg.e_tilde, d=step.direction.copy(), z=step.z,
-            eps_alpha=eps ** config.alpha, grad_xk=grad_xk.copy(), **extra,
-        )
+        if stop_callback is not None and stop_callback(rec) and stop_reason is None:
+            stop_reason = "callback"
 
     f_x = oracle.f(x)
     k = 0
@@ -547,19 +558,11 @@ def run(
         step = direction_from_dual(sol, eps, config.alpha)
         w_history = [step.w]
 
-        i = 0
-        while True:
-            if i > inner_cap:
-                # guard against a hang; model_stalled ends chains long before
-                warnings.warn(
-                    f"improvement process exceeded {inner_cap} steps at k={k} "
-                    f"(v={step.v:.3e}, w={step.w:.3e}, eps={eps:.3e}); stopping")
-                stop_reason = "inner_limit"
-                break
+        # model_stalled ends chains long before the guard inner_cap does
+        for i in range(inner_cap + 1):
             if step.v <= _EPS_TOL:
-                emit(k, i, f_x, step, StepKind.CONVERGED,
-                     make_diag(step, agg, f_x, grad_xk))
                 stop_reason = "converged"
+                emit(StepKind.CONVERGED, f_x)
                 break
 
             trial = x + step.direction
@@ -575,37 +578,27 @@ def run(
                     if t > 1.0:
                         trial = x + t * step.direction
                 if checks:
-                    x_next, f_next = fdp_perturb(oracle, x, f_x, t * step.direction, f_trial,
+                    trial, f_trial = fdp_perturb(oracle, x, f_x, t * step.direction, f_trial,
                                                  config.beta, t * step.z, "FDP1", rng)
-                else:
-                    x_next, f_next = trial, f_trial
-                diag = make_diag(step, agg, f_x, grad_xk)
-                hit = emit(k, i, f_next, step, StepKind.SERIOUS_STEP, diag)
-                x, f_x = x_next, f_next
-                if hit:
-                    stop_reason = "callback"
+                emit(StepKind.SERIOUS_STEP, f_trial)
+                x, f_x = trial, f_trial
                 break
 
             # improvement process: new auxiliary point and linearization
-            if checks:
-                s_new, f_s = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
-                                         config.beta, step.z, "FDP2", rng)
-            else:
-                s_new, f_s = trial, f_trial
-            g_new = gradient(oracle, mode, s_new, f_x=f_s)
-            g_evals += 1
-            e_new = linearization_error(f_x, f_s, g_new, x, s_new, strict)
             f_gap = abs(f_trial - f_x)
+            if checks:
+                trial, f_trial = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
+                                             config.beta, step.z, "FDP2", rng)
+            g_new = gradient(oracle, mode, trial, f_x=f_trial)
+            g_evals += 1
+            e_new = linearization_error(f_x, f_trial, g_new, x, trial, strict)
 
             if (model_stalled(w_history, m + 1, config.gamma)
                     or not improvement_criterion(e_new, agg, f_gap, config.gamma)):
                 # null step: the model stopped improving or the new cut is
                 # useless; shrink the sampling region, keep the iterate
-                hit = emit(k, i, f_x, step, StepKind.NULL_STEP,
-                           make_diag(step, agg, f_x, grad_xk))
+                emit(StepKind.NULL_STEP, f_x)
                 eps = config.mu * eps
-                if hit:
-                    stop_reason = "callback"
                 break
 
             # kept rows (row 0 first), the new cut, the prior aggregate; the
@@ -621,7 +614,7 @@ def run(
             warm = np.zeros(q + 2)
             lam.take(keep, out=warm[:q])
             warm[-1] = max(0.0, 1.0 - warm.sum())
-            d_prev, z_prev = step.direction, step.z
+            prior = step
             sol = _solve_model(model, scale, warm, f"subproblem at k={k}, i={i}")
             # an enrichment's aggregate is the row-by-row sum: the QP's own
             # lam @ G rounds differently and moves the gradient counts
@@ -629,20 +622,11 @@ def run(
             step = direction_from_dual(agg, eps, config.alpha)
             w_history.append(step.w)
             rows, lam = model[:-1], sol.lam[:-1]
-
-            diag = None
-            if config.collect_diagnostics:
-                # per row: a matmul rounds this diagnostic differently
-                model_z = max(float(r[:-1] @ step.direction) - r[-1] for r in model)
-                diag = make_diag(step, agg, f_x, grad_xk,
-                                 new_atom_grad=g_new.copy(), new_atom_err=e_new,
-                                 d_prev=d_prev.copy(), z_prev=z_prev,
-                                 model_z_max=model_z)
-            hit = emit(k, i, f_x, step, StepKind.INNER_ENRICH, diag)
-            if hit:
-                stop_reason = "callback"
+            emit(StepKind.INNER_ENRICH, f_x)
+            if stop_reason is not None:
                 break
-            i += 1
+        else:
+            stop_reason = "inner_limit"
 
         k += 1
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .bgs import SolverConfig
 from .gs import GsConfig
@@ -13,8 +14,8 @@ from .problems import catalog, make_problem
 
 # options of the bundle solver that the GS baseline has no use for
 _BGS_ONLY = ("mu", "alpha", "gamma", "beta", "theta")
-_SOLVER_KEYS_BGS = ("m", "eps0") + _BGS_ONLY
-_SOLVER_KEYS_GS = ("eps0",)
+_SOLVER_KEYS_GS = ("m", "eps0")
+_SOLVER_KEYS_BGS = _SOLVER_KEYS_GS + _BGS_ONLY
 # parser options that steer the CLI itself and are no experiment option
 _CLI_ONLY = ("help", "config", "list_problems")
 
@@ -99,8 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     keys = _SOLVER_KEYS_BGS if solver == "bgs" else _SOLVER_KEYS_GS
     solver_options = {k: opts[k] for k in keys if k in opts}
-    if solver == "gs" and "m" in opts:
-        solver_options["sample_size"] = opts["m"]
 
     try:
         spec = ExperimentSpec(
@@ -120,10 +119,18 @@ def main(argv: list[str] | None = None) -> int:
         # dimension and the solver options
         make_problem(spec.problem, spec.n)
         (SolverConfig if solver == "bgs" else GsConfig)(**solver_options)
+        # a report or trace that cannot be written fails before any solve
+        for path in (spec.output, spec.trace_path):
+            if path and not Path(path).parent.is_dir():
+                raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports, aggregate = run_experiment(spec)
+    try:
+        reports, aggregate = run_experiment(spec)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for r in reports:
         print(f"  seed={r.seed} iters={r.iters} g_eval={r.g_eval} "
               f"E_final={r.E_final:.3e} converged={r.converged} [{r.stop_reason}]")

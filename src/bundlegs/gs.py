@@ -1,6 +1,6 @@
 """Vanilla gradient-sampling baseline.
 
-Each iteration samples `sample_size` points uniformly from B(x_k, eps_k),
+Each iteration samples m points uniformly from B(x_k, eps_k),
 takes the minimum-norm element of the convex hull of the gradient at x_k and
 the sampled gradients (Wolfe's nearest-point problem, solved by
 `qp.min_norm_point`; a hull solve that does not converge ends the run with
@@ -20,6 +20,7 @@ gradients none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,21 +43,23 @@ _MIN_RADIUS = 1e-12
 
 @dataclass
 class GsConfig:
-    """Baseline parameters; sample_size=None resolves to 2n."""
+    """Baseline parameters; m=None resolves to 2n."""
 
-    sample_size: Optional[int] = None
+    m: Optional[int] = None
     eps0: float = 1.0
     seed: int = 0
     max_iters: int = 1000
 
     def __post_init__(self) -> None:
-        if self.sample_size is not None and self.sample_size < 1:
-            raise ValueError("sample_size must be positive")
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
+        if self.m is not None and self.m < 1:
+            raise ValueError("m must be positive")
+        if not 0.0 < self.eps0 < math.inf:
+            raise ValueError("eps0 must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
-    def resolve_sample_size(self, n: int) -> int:
-        return int(self.sample_size) if self.sample_size is not None else 2 * n
+    def resolve_m(self, n: int) -> int:
+        return int(self.m) if self.m is not None else 2 * n
 
 
 @dataclass
@@ -77,35 +80,33 @@ def gs_run(
     grad_mode: GradientMode | None = None,
     stop_callback: Optional[Callable[[GsTraceRecord], bool]] = None,
 ) -> RunResult:
-    """Run the baseline; gradient evaluations are sample_size + 1 per iteration."""
+    """Run the baseline; gradient evaluations are m + 1 per iteration."""
     mode = grad_mode or GradientMode.exact()
     x = np.array(x0 if x0 is not None else oracle.x0, dtype=float)
     if x.size != oracle.dimension or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite vector of the oracle's dimension")
     n = oracle.dimension
-    sample_size = config.resolve_sample_size(n)
+    m = config.resolve_m(n)
     rng = np.random.default_rng(config.seed)
     eps = float(config.eps0)
     f_x = oracle.f(x)
     g_evals = 0
     trace: list[GsTraceRecord] = []
-    iters = 0
     # row 0 the gradient at x_k, then the sampled block
-    grads = np.empty((sample_size + 1, n))
+    grads = np.empty((m + 1, n))
 
     for k in range(config.max_iters):
         if eps < _MIN_RADIUS:
             stop_reason = "radius_floor"
             break
-        iters += 1
         grads[0] = gradient(oracle, mode, x, f_x=f_x)
-        points = sample_ball(x, eps, sample_size, rng)
+        points = sample_ball(x, eps, m, rng)
         bad = sample_rows(oracle, mode, points, grads[1:])
         if bad:
             i = bad[0]
             raise EvaluationError(f"{oracle.name}: non-finite gradient at row {i} of a block "
-                                  f"of {sample_size} points, x={points[i]!r}")
-        g_evals += sample_size + 1
+                                  f"of {m} points, x={points[i]!r}")
+        g_evals += m + 1
 
         sol = min_norm_point(grads)
         if not sol.converged:
@@ -144,4 +145,4 @@ def gs_run(
         stop_reason = "budget"
 
     return RunResult(x=x, f=f_x, trace=trace, stop_reason=stop_reason,
-                     outer_iters=iters, grad_evals=g_evals)
+                     outer_iters=len(trace), grad_evals=g_evals)

@@ -47,6 +47,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed_base < 0:
+            raise ValueError("seed_base must be nonnegative")
         if self.stop_rel_err is not None and not self.stop_rel_err > 0:
             raise ValueError("stop_rel_err must be positive")
         if self.format not in ("csv", "json"):

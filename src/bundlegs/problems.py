@@ -49,8 +49,8 @@ class GradientMode:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "forward"):
             raise ValueError(f"unknown gradient mode {self.kind!r}")
-        if self.kind == "forward" and not self.h > 0:
-            raise ValueError("forward-difference step h must be positive")
+        if self.kind == "forward" and not 0.0 < self.h < math.inf:
+            raise ValueError("forward-difference step h must be positive and finite")
 
     @property
     def strict(self) -> bool:

@@ -382,6 +382,12 @@ def test_config_validation():
         SolverConfig(theta=1.5)
     with pytest.raises(ValueError):
         SolverConfig(eps0=-1.0)
+    with pytest.raises(ValueError, match="eps0 must be positive and finite"):
+        SolverConfig(eps0=float("inf"))
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        SolverConfig(alpha=float("inf"))
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SolverConfig(seed=-1)
     assert SolverConfig().resolve_m(10) == 20
     assert SolverConfig().resolve_m(50) == 5
     assert SolverConfig(m=7).resolve_m(50) == 7

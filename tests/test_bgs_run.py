@@ -176,17 +176,42 @@ def test_budget_and_radius_floor_stops():
     assert (res.outer_iters, res.grad_evals, res.trace) == (0, 0, [])
 
 
-def test_callback_stop():
+def test_converged_stop_outranks_the_callback(monkeypatch):
+    monkeypatch.setattr(bgs, "_EPS_TOL", 1e-12)
+    res = run(quadratic_oracle(2), SolverConfig(seed=1, m=4),
+              stop_callback=lambda rec: rec.kind is StepKind.CONVERGED)
+    assert res.stop_reason == "converged"
+    assert res.trace[-1].kind is StepKind.CONVERGED
+    assert (res.outer_iters, res.grad_evals) == (3, 16)
+
+
+def test_inner_limit_is_a_stop_reason_not_a_warning(monkeypatch):
+    # a cap of 0 enrichments ends the first chain that enriches, at k=2
+    monkeypatch.setattr(bgs, "_INNER_LIMIT_FACTOR", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(make_problem("ChainedLQ", 10), SolverConfig(seed=2, m=6, max_outer=30))
+    assert res.stop_reason == "inner_limit"
+    assert res.trace[-1].kind is StepKind.INNER_ENRICH
+    assert (res.outer_iters, res.grad_evals) == (3, 23)
+
+
+# from x0 the records run serious, null, enrich: each case stops on the
+# first record of its kind
+@pytest.mark.parametrize("kind", [StepKind.SERIOUS_STEP, StepKind.NULL_STEP,
+                                  StepKind.INNER_ENRICH], ids=lambda kind: kind.value)
+def test_callback_stop(kind):
     oracle = make_problem("ChainedLQ", 8)
-    seen = []
-
-    def cb(rec):
-        seen.append(rec)
-        return len(seen) >= 5
-
-    res = run(oracle, SolverConfig(seed=3, m=4, max_outer=100), stop_callback=cb)
+    res = run(oracle, SolverConfig(seed=3, m=4, max_outer=100),
+              stop_callback=lambda rec: rec.kind is kind)
     assert res.stop_reason == "callback"
-    assert len(res.trace) == 5
+    assert [rec.kind for rec in res.trace].index(kind) == len(res.trace) - 1
+    assert res.f == oracle.f(res.x)
+    if kind is StepKind.SERIOUS_STEP:
+        assert res.f == res.trace[-1].f_val < oracle.f(oracle.x0)
+    else:
+        # f(x_k), as the serious step before it left it
+        assert res.f == res.trace[-1].f_val == res.trace[-2].f_val
 
 
 def test_deterministic_trace():

@@ -41,7 +41,7 @@ def test_descent_and_accounting():
     oracle = make_problem("ChainedLQ", 8)
     cfg = GsConfig(seed=1, max_iters=120)
     res = gs_run(oracle, cfg)
-    sample = cfg.resolve_sample_size(8)
+    sample = cfg.resolve_m(8)
     assert res.grad_evals == res.outer_iters * (sample + 1)
     f_prev = np.inf
     for rec in res.trace:
@@ -108,9 +108,13 @@ def test_callback_and_determinism():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GsConfig(sample_size=0)
-    assert GsConfig().resolve_sample_size(50) == 100
+    with pytest.raises(ValueError, match="m must be positive"):
+        GsConfig(m=0)
+    with pytest.raises(ValueError, match="eps0 must be positive and finite"):
+        GsConfig(eps0=float("inf"))
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        GsConfig(seed=-1)
+    assert GsConfig().resolve_m(50) == 100
 
 
 # G G' overflows; the QP raises before LAPACK sees it

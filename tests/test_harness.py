@@ -137,11 +137,18 @@ def test_emit_report_json_roundtrip(tmp_path):
            ("gs", "Rosen", 4, 3, 7, 63, 0.25, 2e-3, False)
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-8], ids=["zero", "negative"])
+@pytest.mark.parametrize("h", [0.0, -1e-8, float("inf")], ids=["zero", "negative", "inf"])
 def test_fd_step_must_be_positive(h):
-    # a zero step used to run exact gradients, a negative one to crash late
+    # a zero step used to run exact gradients, a negative or infinite one to
+    # crash late
     with pytest.raises(ValueError, match="fd_step"):
         ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8, fd_step=h)
+
+
+def test_negative_seed_base_is_refused():
+    # numpy's generators refuse a negative seed only once the first run starts
+    with pytest.raises(ValueError, match="seed_base must be nonnegative"):
+        ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8, seed_base=-1)
 
 
 def test_emit_report_empty():
@@ -221,8 +228,13 @@ class TestCli:
         ["--solver", "gs", "--problem", "QL", "--m", "0"],
         *(["--solver", "gs", "--problem", "ChainedLQ", "--n", "8", f"--{key}", "0.5"]
           for key in ("mu", "alpha", "gamma", "beta", "theta")),
+        *(["--solver", solver, "--problem", "ChainedLQ", "--n", "4", *bad]
+          for solver in ("bgs", "gs")
+          for bad in (["--seed", "-1"], ["--eps0", "inf"], ["--fd", "inf"])),
     ], ids=["unknown-problem", "fixed-dimension", "zero-sample-size",
-            *(f"gs-takes-no-{key}" for key in ("mu", "alpha", "gamma", "beta", "theta"))])
+            *(f"gs-takes-no-{key}" for key in ("mu", "alpha", "gamma", "beta", "theta")),
+            *(f"{solver}-{bad}" for solver in ("bgs", "gs")
+              for bad in ("negative-seed", "infinite-eps0", "infinite-fd-step"))])
     def test_bad_problem_or_solver_option_is_refused(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -254,6 +266,23 @@ class TestCli:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         return re.search(r"g_eval=(\d+) E_final=(\S+)", out).groups()
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_report_or_trace_in_a_missing_directory_is_refused(self, flag, tmp_path, capsys):
+        path = tmp_path / "missing" / "run"
+        argv = ["--solver", "bgs", "--problem", "ChainedLQ", "--n", "4", "--reps", "1"]
+        assert cli.main([*argv, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: directory {path.parent} does not exist\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_failed_report_or_trace_write_is_one_error_line(self, flag, tmp_path, capsys):
+        # the path is a directory: its parent exists, and the write fails
+        argv = ["--solver", "bgs", "--problem", "ChainedLQ", "--n", "4", "--reps", "1"]
+        assert cli.main([*argv, flag, str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: failed writing ")
 
     def test_bgs_option_values_cover_every_forwarded_option(self):
         assert set(self.BGS_OPTION_VALUES) == set(cli._SOLVER_KEYS_BGS)

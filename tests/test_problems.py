@@ -199,6 +199,9 @@ def test_aliases_and_catalog():
 def test_gradient_mode_validation():
     with pytest.raises(ValueError):
         GradientMode("forward", h=0.0)
+    for h in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GradientMode("forward", h=h)
     with pytest.raises(ValueError):
         GradientMode("sideways")
 
