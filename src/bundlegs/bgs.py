@@ -15,7 +15,7 @@ first; the m sampled points get their values and gradients from one
 are taken at once (see `build_initial_model`).  An
 enrichment keeps the rows whose multipliers carry the weight theta
 (`select_indices`), stacks the new cut and the prior aggregate below them in
-a preallocated buffer, and solves that stack.  The initial model's
+a new array, and solves that stack.  The initial model's
 aggregate is the QP's own lam @ G; an enrichment's is the row-by-row sum of
 `aggregate`.  Near-duplicate rows make round-off decide how lam splits among
 them, so each aggregate keeps its own summation order: either order used for
@@ -503,10 +503,6 @@ def run(
     trace: list[IterationTrace] = []
     inner_cap = _INNER_LIMIT_FACTOR * (m + 1)
     stop_reason: str | None = None
-    # enrichment i writes its model into buffers[i % 2] and takes the kept
-    # rows from the previous model, which lives in the other buffer; a first
-    # model has at most m + 3 rows, and a longer one gets a larger buffer
-    buffers = [np.empty((2 * m + 6, n + 1)) for _ in range(2)]
 
     def emit(kind, f_val) -> None:
         # reads k, i, x, f_x, agg, step, grad_xk and eps before any of them
@@ -605,9 +601,7 @@ def run(
             # warm start puts the weight the kept rows do not carry on the last
             keep = select_indices(lam, config.theta, forced=(0,))
             q = len(keep)
-            if len(buffers[i % 2]) < q + 2:
-                buffers[i % 2] = np.empty((2 * (q + 2), n + 1))
-            model = buffers[i % 2][:q + 2]
+            model = np.empty((q + 2, n + 1))
             rows.take(keep, axis=0, out=model[:q])
             model[q, :-1], model[q, -1] = g_new, e_new
             model[q + 1, :-1], model[q + 1, -1] = agg.g_tilde, agg.e_tilde

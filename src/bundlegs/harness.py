@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -49,8 +50,8 @@ class ExperimentSpec:
             raise ValueError("replications must be >= 1")
         if self.seed_base < 0:
             raise ValueError("seed_base must be nonnegative")
-        if self.stop_rel_err is not None and not self.stop_rel_err > 0:
-            raise ValueError("stop_rel_err must be positive")
+        if self.stop_rel_err is not None and not 0.0 < self.stop_rel_err < math.inf:
+            raise ValueError("stop_rel_err must be positive and finite")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.fd_step is not None:
@@ -72,10 +73,6 @@ class RunReport:
     E_final: float
     converged: bool
     stop_reason: str = "unknown"  # internal; not persisted
-
-    def row(self) -> list:
-        return [self.solver, self.problem, self.n, self.seed, self.iters,
-                self.g_eval, repr(self.time_s), repr(self.E_final), self.converged]
 
 
 def relative_error(f_val: float, f_star: float) -> float:
@@ -154,10 +151,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunReport], dict]:
         "problem": oracle.name,
         "n": oracle.dimension,
         "replications": spec.replications,
-        "iters": float(np.mean([r.iters for r in ok])) if ok else float("nan"),
-        "g_eval": float(np.mean([r.g_eval for r in ok])) if ok else float("nan"),
-        "time_s": float(np.mean([r.time_s for r in ok])) if ok else float("nan"),
-        "E_final": float(np.mean([r.E_final for r in ok])) if ok else float("nan"),
+        **{key: float(np.mean([getattr(r, key) for r in ok])) if ok else math.nan
+           for key in ("iters", "g_eval", "time_s", "E_final")},
         "n_converged": sum(r.converged for r in ok),
         "n_excluded": len(reports) - len(ok),
     }
@@ -167,23 +162,23 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunReport], dict]:
 
 
 def emit_report(reports: list[RunReport], path: str | Path, fmt: str = "csv") -> Path:
-    """Persist per-run reports; CSV columns are fixed, JSON mirrors them."""
+    """Persist per-run reports, one row of the `REPORT_FIELDS` each.
+
+    CSV writes a float as its repr and JSON round-trips it, so both keep
+    every bit.
+    """
     if not reports:
         raise ValueError("no reports to persist")
     path = Path(path)
+    rows = [[getattr(r, key) for key in REPORT_FIELDS] for r in reports]
     try:
         if fmt == "csv":
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(REPORT_FIELDS)
-                for r in reports:
-                    writer.writerow(r.row())
+                writer.writerows(rows)
         elif fmt == "json":
-            payload = []
-            for r in reports:
-                d = asdict(r)
-                d.pop("stop_reason")
-                payload.append(d)
+            payload = [dict(zip(REPORT_FIELDS, row)) for row in rows]
             path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")

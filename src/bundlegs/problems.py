@@ -168,13 +168,16 @@ def sample_rows(oracle: ObjectiveOracle, mode: GradientMode, X: np.ndarray,
 def _forward_differences(eval_f, h: float, x: np.ndarray, g: np.ndarray,
                          f0: float | None = None) -> float:
     # g[i] = (f(x + h e_i) - f(x)) / h on Python floats, which raise no numpy
-    # warning on inf - inf; returns the base f(x), evaluated unless given
+    # warning on inf - inf; returns the base f(x), evaluated unless given.
+    # Where x_i + h == x_i the step vanishes and g[i] is NaN, which the
+    # finite checks refuse: its difference would be a false 0
     if f0 is None:
         f0 = float(eval_f(x))
-    for i in range(x.size):
+    for i, xi in enumerate(x.tolist()):
         xp = x.copy()
-        xp[i] += h
-        g[i] = (float(eval_f(xp)) - f0) / h
+        xp[i] = step = xi + h
+        diff = (float(eval_f(xp)) - f0) / h
+        g[i] = diff if step != xi else math.nan
     return f0
 
 
@@ -189,6 +192,16 @@ def _norm(v: np.ndarray) -> float:
     # order) and the same dot, and math.sqrt, which rounds as np.sqrt does
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+def _apart(pieces) -> bool:
+    # the smoothness test of the max-type problems: in every column, the two
+    # largest pieces along axis 0 are more than 1e-10 (1 + |largest|) apart.
+    # A NaN or infinite piece leaves no gap; its inf - inf warns no more than
+    # Python floats do
+    s = np.sort(pieces, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool((s[-1] - s[-2] > 1e-10 * (1.0 + np.abs(s[-1]))).all())
 
 
 def _tilted_norm(n: int) -> ObjectiveOracle:
@@ -237,13 +250,8 @@ def _mxhilb(n: int) -> ObjectiveOracle:
         s = 1.0 if t[k] >= 0 else -1.0
         return s * hilb[k]
 
-    def smooth(x):
-        t = np.sort(np.abs(hilb @ x))
-        if n == 1:
-            return t[-1] > 0
-        return t[-1] - t[-2] > 1e-10 * (1.0 + t[-1])
-
-    return ObjectiveOracle("MXHILB", n, 0.0, np.ones(n), f, g, smooth)
+    return ObjectiveOracle("MXHILB", n, 0.0, np.ones(n), f, g,
+                           lambda x: _apart(np.abs(hilb @ x)))
 
 
 def _chained_lq(n: int) -> ObjectiveOracle:
@@ -299,13 +307,9 @@ def _chained_cb3_1(n: int) -> ObjectiveOracle:
         out[1:] += gj
         return out
 
-    def smooth(x):
-        t1, t2, t3, _ = _cb3_terms(x)
-        stack = np.sort(np.vstack([t1, t2, t3]), axis=0)
-        gap = stack[2] - stack[1]
-        return bool((gap > 1e-10 * (1.0 + np.abs(stack[2]))).all())
-
-    return ObjectiveOracle("ChainedCB3I", n, 2.0 * (n - 1), np.full(n, 2.0), f, g, smooth)
+    # each pair's three pieces
+    return ObjectiveOracle("ChainedCB3I", n, 2.0 * (n - 1), np.full(n, 2.0), f, g,
+                           lambda x: _apart(_cb3_terms(x)[:3]))
 
 
 def _chained_cb3_2(n: int) -> ObjectiveOracle:
@@ -330,12 +334,9 @@ def _chained_cb3_2(n: int) -> ObjectiveOracle:
             out[1:] += m[1:]
         return out
 
-    def smooth(x):
-        t1, t2, t3, _ = _cb3_terms(x)
-        sums = np.sort([t1.sum(), t2.sum(), t3.sum()])
-        return bool(sums[2] - sums[1] > 1e-10 * (1.0 + abs(sums[2])))
-
-    return ObjectiveOracle("ChainedCB3II", n, 2.0 * (n - 1), np.full(n, 2.0), f, g, smooth)
+    # the three sums
+    return ObjectiveOracle("ChainedCB3II", n, 2.0 * (n - 1), np.full(n, 2.0), f, g,
+                           lambda x: _apart([t.sum() for t in _cb3_terms(x)[:3]]))
 
 
 def _pm_start(n: int) -> np.ndarray:
@@ -355,13 +356,7 @@ def _maxq(n: int, name: str = "MAXQ-gen") -> ObjectiveOracle:
         out[k] = 2.0 * x[k]
         return out
 
-    def smooth(x):
-        sq = np.sort(x ** 2)
-        if n == 1:
-            return True
-        return bool(sq[-1] - sq[-2] > 1e-10 * (1.0 + sq[-1]))
-
-    return ObjectiveOracle(name, n, 0.0, _pm_start(n), f, g, smooth)
+    return ObjectiveOracle(name, n, 0.0, _pm_start(n), f, g, lambda x: _apart(x ** 2))
 
 
 def _maxl(n: int) -> ObjectiveOracle:
@@ -376,15 +371,9 @@ def _maxl(n: int) -> ObjectiveOracle:
         out[k] = np.sign(x[k])
         return out
 
-    def smooth(x):
-        a = np.sort(np.abs(x))
-        if n == 1:
-            return bool(a[-1] > 0)
-        return bool(a[-1] - a[-2] > 1e-10 * (1.0 + a[-1]) and a[-1] > 0)
-
     x0 = np.arange(1.0, n + 1.0) / n
     x0[1::2] *= -1.0
-    return ObjectiveOracle("MAXL-gen", n, 0.0, x0, f, g, smooth)
+    return ObjectiveOracle("MAXL-gen", n, 0.0, x0, f, g, lambda x: _apart(np.abs(x)))
 
 
 def _partly_smooth(n: int) -> ObjectiveOracle:
@@ -427,11 +416,8 @@ def _ql(n: int) -> ObjectiveOracle:
             out += np.array([-10.0, -20.0])
         return out
 
-    def smooth(x):
-        vals = np.sort(pieces(x))
-        return bool(vals[2] - vals[1] > 1e-10 * (1.0 + abs(vals[2])))
-
-    return ObjectiveOracle("QL", 2, 7.2, np.array([-1.0, 5.0]), f, g, smooth)
+    return ObjectiveOracle("QL", 2, 7.2, np.array([-1.0, 5.0]), f, g,
+                           lambda x: _apart(pieces(x)))
 
 
 def _mifflin1(n: int) -> ObjectiveOracle:
@@ -462,12 +448,8 @@ def _goffin(n: int) -> ObjectiveOracle:
         out[k] += float(n)
         return out
 
-    def smooth(x):
-        s = np.sort(x)
-        return bool(s[-1] - s[-2] > 1e-10 * (1.0 + abs(s[-1])))
-
     x0 = np.arange(1.0, n + 1.0) - (n + 1.0) / 2.0
-    return ObjectiveOracle("Goffin", n, 0.0, x0, f, g, smooth)
+    return ObjectiveOracle("Goffin", n, 0.0, x0, f, g, _apart)
 
 
 def _square(v: float) -> float:
@@ -519,11 +501,8 @@ def _rosen(n: int) -> ObjectiveOracle:
             return np.array(out)
         return np.array([o + 10.0 * d for o, d in zip(out, pen)])
 
-    def smooth(x):
-        vals = sorted(pieces(*x.tolist()))
-        return bool(vals[3] - vals[2] > 1e-10 * (1.0 + abs(vals[3])))
-
-    return ObjectiveOracle("Rosen", 4, -44.0, np.zeros(4), f, g, smooth)
+    return ObjectiveOracle("Rosen", 4, -44.0, np.zeros(4), f, g,
+                           lambda x: _apart(pieces(*x.tolist())))
 
 
 # registry: canonical name -> (builder, fixed dimension or None, index, f* description)

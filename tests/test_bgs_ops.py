@@ -1,6 +1,7 @@
 """Elementary bundle operations: errors, directions, criteria, selection."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -215,6 +216,11 @@ class TestFdpPerturb:
         assert f_out == o.f(out) == abs(out[0])
         assert len(points) == 2
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="unknown perturbation mode 'FDP3'"):
+            fdp_perturb(abs_oracle(), np.array([1.0]), 1.0, np.array([-1.0]), 0.0, 0.5, -1.0,
+                        "FDP3", np.random.default_rng(0))
+
     def test_fdp1_that_finds_no_point_evaluates_its_last_draw_once(self):
         # FDP1 can never hold when beta*z is below -f(x): every draw fails
         o, points = _counting(abs_oracle())
@@ -388,6 +394,13 @@ def test_config_validation():
         SolverConfig(alpha=float("inf"))
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         SolverConfig(seed=-1)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        SolverConfig(m=-1)
+    for gamma in (0.0, 1.0):
+        with pytest.raises(ValueError, match=re.escape("gamma must be in (0, 1)")):
+            SolverConfig(gamma=gamma)
+    with pytest.raises(ValueError, match="max_outer must be at least 1"):
+        SolverConfig(max_outer=0)
     assert SolverConfig().resolve_m(10) == 20
     assert SolverConfig().resolve_m(50) == 5
     assert SolverConfig(m=7).resolve_m(50) == 7

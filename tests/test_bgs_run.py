@@ -443,8 +443,8 @@ def test_large_trajectory_pinned(name, grad_evals, f_hex):
     assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)
 
 
-# theta=1 keeps every row, so the enrichment models outgrow the first
-# buffers run() sets aside for them (2m + 6 rows)
+# theta=1 keeps every row, so the enrichment models grow past 2m + 6 rows,
+# far beyond the m + 3 of a first enrichment
 GROWTH_PINS = [
     ("ChainedLQ", 10, 1, 354, "-0x1.974b01e0420e4p+3"),
     ("Rosen", None, 0, 247, "-0x1.5fffffffb1dafp+5"),

@@ -117,6 +117,13 @@ def test_config_validation():
     assert GsConfig().resolve_m(50) == 100
 
 
+def test_bad_x0_rejected():
+    oracle = quadratic_oracle(2)
+    for x0 in (np.array([1.0, np.nan]), np.array([1.0, np.inf]), np.ones(3)):
+        with pytest.raises(ValueError, match="x0 must be a finite vector"):
+            gs_run(oracle, GsConfig(), x0=x0)
+
+
 # G G' overflows; the QP raises before LAPACK sees it
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_overflowing_gram_raises_qp_failure():

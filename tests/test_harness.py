@@ -151,6 +151,35 @@ def test_negative_seed_base_is_refused():
         ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8, seed_base=-1)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("solver", "newton", "unknown solver 'newton'"),
+    ("replications", 0, "replications must be >= 1"),
+    ("stop_rel_err", 0.0, "stop_rel_err must be positive and finite"),
+    ("stop_rel_err", -1e-3, "stop_rel_err must be positive and finite"),
+    # an infinite tolerance would certify every start point
+    ("stop_rel_err", float("inf"), "stop_rel_err must be positive and finite"),
+    ("stop_rel_err", float("nan"), "stop_rel_err must be positive and finite"),
+    ("format", "xml", "unknown format 'xml'"),
+], ids=["unknown-solver", "zero-replications", "zero-tol", "negative-tol", "infinite-tol",
+        "nan-tol", "unknown-format"])
+def test_spec_validation(field, value, message):
+    args = {"solver": "bgs", "problem": "ChainedLQ", "n": 8, field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentSpec(**args)
+
+
+def test_emit_report_keeps_every_bit_of_a_float(tmp_path):
+    # the CSV writer writes a float as its repr, and JSON round-trips it
+    report = RunReport("bgs", "QL", 2, 0, 10, 50, 1 / 3, 0.1 + 0.2, True)
+    with emit_report([report], tmp_path / "r.csv", "csv").open(newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert (row["time_s"], row["E_final"]) == ("0.3333333333333333", "0.30000000000000004")
+    d = json.loads(emit_report([report], tmp_path / "r.json", "json").read_text())[0]
+    assert list(d) == sorted(REPORT_FIELDS)
+    assert (d["time_s"], d["E_final"]) == (1 / 3, 0.1 + 0.2)
+    assert RunReport(**d) == report
+
+
 def test_emit_report_empty():
     with pytest.raises(ValueError):
         emit_report([], "nowhere.csv")
@@ -230,11 +259,13 @@ class TestCli:
           for key in ("mu", "alpha", "gamma", "beta", "theta")),
         *(["--solver", solver, "--problem", "ChainedLQ", "--n", "4", *bad]
           for solver in ("bgs", "gs")
-          for bad in (["--seed", "-1"], ["--eps0", "inf"], ["--fd", "inf"])),
+          for bad in (["--seed", "-1"], ["--eps0", "inf"], ["--fd", "inf"],
+                      ["--tol", "inf"], ["--tol", "nan"])),
     ], ids=["unknown-problem", "fixed-dimension", "zero-sample-size",
             *(f"gs-takes-no-{key}" for key in ("mu", "alpha", "gamma", "beta", "theta")),
             *(f"{solver}-{bad}" for solver in ("bgs", "gs")
-              for bad in ("negative-seed", "infinite-eps0", "infinite-fd-step"))])
+              for bad in ("negative-seed", "infinite-eps0", "infinite-fd-step",
+                          "infinite-tol", "nan-tol"))])
     def test_bad_problem_or_solver_option_is_refused(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -298,6 +329,17 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert "[abort: eps^-alpha overflows at k=0" in captured.out
+        assert captured.err == "error: 1 run(s) aborted\n"
+
+    @pytest.mark.parametrize("solver", ["bgs", "gs"])
+    def test_vanishing_fd_step_aborts_the_run(self, solver, capsys):
+        # x_i + 1e-300 == x_i away from 0: the differences would all be a
+        # false 0, and bgs certified the start point as converged
+        code = cli.main(["--solver", solver, "--problem", "ChainedLQ", "--n", "4",
+                         "--reps", "1", "--fd", "1e-300"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "[abort: ChainedLQ: non-finite forward-difference gradient]" in captured.out
         assert captured.err == "error: 1 run(s) aborted\n"
 
     def test_full_run(self, tmp_path, capsys):

@@ -253,6 +253,33 @@ def test_finite_gradient_with_overflowing_sum_accepted(mode):
     np.testing.assert_allclose(g, want, rtol=1e-6)
 
 
+# a step of 1e-300 vanishes against 0.5 (0.5 + 1e-300 == 0.5) but not against 0
+VANISHING_STEP = 1e-300
+
+
+def test_vanishing_forward_step_raises():
+    # the difference would be a false 0; every f value is still spent
+    oracle = make_problem("ChainedLQ", 2)
+    calls = []
+    counted = replace(oracle, eval_f=lambda x: calls.append(1) or oracle.eval_f(x))
+    mode = GradientMode.forward(VANISHING_STEP)
+    with pytest.raises(EvaluationError, match="non-finite forward-difference gradient"):
+        gradient(counted, mode, np.array([0.0, 0.5]))
+    assert len(calls) == 3
+    assert np.isfinite(gradient(oracle, mode, np.zeros(2))).all()
+
+
+def test_vanishing_forward_step_row_is_reported():
+    # only the coordinates where x_i + h == x_i are refused
+    oracle = make_problem("ChainedLQ", 2)
+    G, F, bad = _rows(oracle, GradientMode.forward(VANISHING_STEP),
+                      [[0.0, 0.0], [0.5, 0.0], [0.0, -0.0], [0.0, 0.5]], values=True)
+    assert bad == [1, 3]
+    assert np.isnan(G[1, 0]) and np.isfinite(G[1, 1])
+    assert np.isfinite(G[3, 0]) and np.isnan(G[3, 1])
+    assert np.isfinite(G[[0, 2]]).all() and np.isfinite(F).all()
+
+
 # ---------------------------------------------------------------------------
 # byte equality with the reference bodies
 # ---------------------------------------------------------------------------
@@ -646,6 +673,31 @@ def test_cb3_ties_take_the_lowest_piece(name):
     a, b = _cb3_tie_of_pieces_2_and_3()
     np.testing.assert_array_equal(oracle.grad(np.array([a, b])),
                                   [-2.0 * (2.0 - a), -2.0 * (2.0 - b)])
+
+
+# the max-type problems are differentiable where the two largest pieces are
+# apart: for each, points where they tie exactly, and one where they do not
+MAX_TYPE_TIES = {
+    "MXHILB": ([np.zeros(10)], np.eye(10)[0]),  # every |(H x)_i| is 0; then 1 and 1/2
+    "ChainedCB3I": ([np.ones(10)], np.full(10, 2.0)),  # every piece is 2; then 20, 0, 2
+    "ChainedCB3II": ([np.ones(10)], np.full(10, 2.0)),
+    "MAXQ-gen": ([np.full(10, c) for c in (1.0, -3.0, 0.0)], None),
+    "MAXL-gen": ([np.full(10, c) for c in (1.0, -3.0, 0.0)], None),
+    "MAXQ": ([np.full(20, c) for c in (1.0, -3.0, 0.0)], None),
+    "QL": ([np.array(x) for x, _ in QL_TIES], None),
+    "Goffin": ([np.full(50, c) for c in (1.0, -3.0, 0.0)], None),
+    "Rosen": ([np.array(x) for x, _ in ROSEN_TIES], None),
+}
+
+
+@pytest.mark.parametrize("name", list(MAX_TYPE_TIES))
+def test_max_type_smooth_only_where_the_largest_pieces_are_apart(name):
+    ties, clear = MAX_TYPE_TIES[name]
+    oracle = make_problem(name, 10 if name in SCALABLE else None)
+    for x in ties:
+        assert not oracle.differentiable_at(x), x
+    # by default the start point, whose largest piece stands clear
+    assert oracle.differentiable_at(oracle.x0 if clear is None else clear)
 
 
 @pytest.mark.parametrize("x,want", ROSEN_TIES, ids=["1-2-4", "2-3", "3-4"])

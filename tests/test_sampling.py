@@ -30,6 +30,12 @@ def test_zero_count():
     assert pts.shape == (0, 4)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+def test_non_positive_radius_is_refused(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        sample_ball(np.zeros(3), radius, 4, np.random.default_rng(0))
+
+
 def test_deterministic_given_seed():
     a = sample_ball(np.ones(5), 2.0, 50, np.random.default_rng(99))
     b = sample_ball(np.ones(5), 2.0, 50, np.random.default_rng(99))
