@@ -1,21 +1,17 @@
-"""Command-line experiment runner."""
+"""Command-line experiment runner: `ExperimentSpec` judges the experiment
+the flags and the `--config` file describe, and a refusal is one `error:` line."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .bgs import SolverConfig
-from .gs import GsConfig
 from .harness import ExperimentSpec, load_config_file, run_experiment
-from .problems import catalog, make_problem
+from .problems import catalog
 
-# options of the bundle solver that the GS baseline has no use for
-_BGS_ONLY = ("mu", "alpha", "gamma", "beta", "theta")
-_SOLVER_KEYS_GS = ("m", "eps0")
-_SOLVER_KEYS_BGS = _SOLVER_KEYS_GS + _BGS_ONLY
+# forwarded for either solver; the spec refuses those the solver has no use for
+_SOLVER_KEYS = ("m", "eps0", "mu", "alpha", "gamma", "beta", "theta")
 # parser options that steer the CLI itself and are no experiment option
 _CLI_ONLY = ("help", "config", "list_problems")
 
@@ -93,17 +89,9 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    solver = opts["solver"]
-    bgs_only = [f"--{k}" for k in _BGS_ONLY if k in opts] if solver == "gs" else []
-    if bgs_only:
-        print(f"error: --solver gs takes no {', '.join(bgs_only)}", file=sys.stderr)
-        return 2
-    keys = _SOLVER_KEYS_BGS if solver == "bgs" else _SOLVER_KEYS_GS
-    solver_options = {k: opts[k] for k in keys if k in opts}
-
     try:
         spec = ExperimentSpec(
-            solver=solver,
+            solver=opts["solver"],
             problem=opts["problem"],
             n=opts.get("n"),
             replications=opts.get("reps", 5),
@@ -111,18 +99,10 @@ def main(argv: list[str] | None = None) -> int:
             seed_base=opts.get("seed", 0),
             output=opts.get("out"),
             format=opts.get("format", "csv"),
-            solver_options=solver_options,
+            solver_options={k: opts[k] for k in _SOLVER_KEYS if k in opts},
             fd_step=opts.get("fd"),
             trace_path=opts.get("trace"),
         )
-        # what the spec leaves to run_experiment: the problem, its
-        # dimension and the solver options
-        make_problem(spec.problem, spec.n)
-        (SolverConfig if solver == "bgs" else GsConfig)(**solver_options)
-        # a report or trace that cannot be written fails before any solve
-        for path in (spec.output, spec.trace_path):
-            if path and not Path(path).parent.is_dir():
-                raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -135,9 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  seed={r.seed} iters={r.iters} g_eval={r.g_eval} "
               f"E_final={r.E_final:.3e} converged={r.converged} [{r.stop_reason}]")
     print("aggregate: " + json.dumps(aggregate, sort_keys=True))
-    aborted = sum(1 for r in reports if r.stop_reason.startswith("abort"))
-    if aborted:
-        print(f"error: {aborted} run(s) aborted", file=sys.stderr)
+    if aggregate["n_excluded"]:
+        print(f"error: {aggregate['n_excluded']} run(s) aborted", file=sys.stderr)
         return 1
     return 0
 

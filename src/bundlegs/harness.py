@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,12 @@ REPORT_FIELDS = ["solver", "problem", "n", "seed", "iters", "g_eval",
 
 @dataclass
 class ExperimentSpec:
-    """One experiment: a solver, a problem, and the replication protocol."""
+    """One experiment: a solver, a problem, and the replication protocol.
+
+    Construction raises `ValueError` for any experiment that could not run:
+    among others an unknown problem, a solver option the solver's config
+    lacks or refuses, and an output or trace path in a missing directory.
+    """
 
     solver: str  # "bgs" | "gs"
     problem: str
@@ -59,6 +64,16 @@ class ExperimentSpec:
                 GradientMode.forward(self.fd_step)
             except ValueError as exc:
                 raise ValueError(f"fd_step={self.fd_step!r}: {exc}") from None
+        make_problem(self.problem, self.n)
+        config = bgs.SolverConfig if self.solver == "bgs" else gs.GsConfig
+        names = {f.name for f in fields(config)} - {"seed"}
+        unknown = [key for key in self.solver_options if key not in names]
+        if unknown:
+            raise ValueError(f"solver {self.solver} takes no option {', '.join(unknown)}")
+        config(seed=self.seed_base, **self.solver_options)
+        for path in (self.output, self.trace_path):
+            if path and not Path(path).parent.is_dir():
+                raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
 
 
 @dataclass
@@ -122,8 +137,7 @@ def _single_run(spec: ExperimentSpec, oracle: ObjectiveOracle, seed: int,
 
     if aborted is not None:
         report = RunReport(spec.solver, oracle.name, n, seed, 0, 0, elapsed,
-                           float("nan"), False, "abort")
-        report.stop_reason = f"abort: {aborted}"
+                           float("nan"), False, f"abort: {aborted}")
         return report, None
 
     e_final = relative_error(result.f, oracle.f_star)

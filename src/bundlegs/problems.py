@@ -108,8 +108,12 @@ class ObjectiveOracle:
 
     def differentiable_at(self, x: np.ndarray) -> bool:
         """`smooth_at` where the problem has it; without it every point counts
-        as smooth, as the samplers assume, and no gradient is spent."""
-        return self.smooth_at is None or bool(self.smooth_at(np.asarray(x, dtype=float)))
+        as smooth, as the samplers assume, and no gradient is spent.  A piece
+        that overflows answers through its inf or NaN, with no warning."""
+        if self.smooth_at is None:
+            return True
+        with np.errstate(all="ignore"):
+            return bool(self.smooth_at(np.asarray(x, dtype=float)))
 
 
 def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray,
@@ -127,7 +131,12 @@ def gradient(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray,
     g = np.empty(x.size)
     _forward_differences(oracle.eval_f, mode.h, x, g, f_x)
     if not _all_finite(g):
-        raise EvaluationError(f"{oracle.name}: non-finite forward-difference gradient")
+        msg = f"{oracle.name}: non-finite forward-difference gradient at x={x!r}"
+        vanished = np.flatnonzero(x + mode.h == x)
+        if vanished.size:
+            i = vanished[0]
+            msg += f": the step h={mode.h!r} vanishes against x[{i}]={float(x[i])!r}"
+        raise EvaluationError(msg)
     return g
 
 
@@ -197,11 +206,9 @@ def _norm(v: np.ndarray) -> float:
 def _apart(pieces) -> bool:
     # the smoothness test of the max-type problems: in every column, the two
     # largest pieces along axis 0 are more than 1e-10 (1 + |largest|) apart.
-    # A NaN or infinite piece leaves no gap; its inf - inf warns no more than
-    # Python floats do
+    # A NaN or infinite piece leaves no gap
     s = np.sort(pieces, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool((s[-1] - s[-2] > 1e-10 * (1.0 + np.abs(s[-1]))).all())
+    return bool((s[-1] - s[-2] > 1e-10 * (1.0 + np.abs(s[-1]))).all())
 
 
 def _tilted_norm(n: int) -> ObjectiveOracle:

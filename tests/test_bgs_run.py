@@ -268,7 +268,7 @@ def test_overflowing_linearization_error_aborts_the_run(seed):
     with pytest.raises(QpFailureError, match="a linearization error overflows"):
         run(steep_oracle(), SolverConfig(seed=seed, m=4, eps0=4.0),
             perturb_start(steep_oracle().x0, 2, np.random.default_rng([seed, 1])))
-    spec = ExperimentSpec(solver="bgs", problem="steep", n=2, replications=1,
+    spec = ExperimentSpec(solver="bgs", problem="ChainedLQ", n=2, replications=1,
                           solver_options={"m": 4, "eps0": 4.0}, measure_time=False)
     report, result = harness._single_run(spec, steep_oracle(), seed, 5e-4)
     assert result is None

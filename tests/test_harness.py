@@ -168,6 +168,26 @@ def test_spec_validation(field, value, message):
         ExperimentSpec(**args)
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"problem": "nosuch"}, "unknown problem 'nosuch'"),
+    ({"problem": "QL", "n": 5}, "QL has fixed dimension n=2, got n=5"),
+    ({"solver": "gs", "solver_options": {"mu": 0.3}}, "solver gs takes no option mu"),
+    ({"solver_options": {"sigma": 0.7}}, "solver bgs takes no option sigma"),
+    ({"solver_options": {"seed": 3}}, "solver bgs takes no option seed"),
+    ({"solver_options": {"m": -1}}, "m must be nonnegative"),
+    ({"solver": "gs", "solver_options": {"m": 0}}, "m must be positive"),
+    ({"output": "missing/run.csv"}, "missing/run.csv: directory missing does not exist"),
+    ({"trace_path": "missing/run"}, "missing/run: directory missing does not exist"),
+], ids=["unknown-problem", "fixed-dimension", "gs-takes-no-mu", "bgs-takes-no-sigma",
+        "seed-option", "bgs-negative-m", "gs-zero-m", "output-directory", "trace-directory"])
+def test_spec_refuses_before_any_solve(changes, message, tmp_path, monkeypatch):
+    # the experiment is judged where it is built, not once its runs start
+    monkeypatch.chdir(tmp_path)
+    args = {"solver": "bgs", "problem": "ChainedLQ", "n": 8, **changes}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentSpec(**args)
+
+
 def test_emit_report_keeps_every_bit_of_a_float(tmp_path):
     # the CSV writer writes a float as its repr, and JSON round-trips it
     report = RunReport("bgs", "QL", 2, 0, 10, 50, 1 / 3, 0.1 + 0.2, True)
@@ -316,7 +336,7 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: failed writing ")
 
     def test_bgs_option_values_cover_every_forwarded_option(self):
-        assert set(self.BGS_OPTION_VALUES) == set(cli._SOLVER_KEYS_BGS)
+        assert set(self.BGS_OPTION_VALUES) == set(cli._SOLVER_KEYS)
 
     @pytest.mark.parametrize("key", sorted(BGS_OPTION_VALUES))
     def test_every_forwarded_bgs_option_changes_the_run(self, key, capsys):
@@ -339,7 +359,9 @@ class TestCli:
                          "--reps", "1", "--fd", "1e-300"])
         assert code == 1
         captured = capsys.readouterr()
-        assert "[abort: ChainedLQ: non-finite forward-difference gradient]" in captured.out
+        assert re.search(r"\[abort: ChainedLQ: non-finite forward-difference gradient at "
+                         r"x=array\(\[.*\]\): the step h=1e-300 vanishes against x\[0\]=",
+                         captured.out)
         assert captured.err == "error: 1 run(s) aborted\n"
 
     def test_full_run(self, tmp_path, capsys):
