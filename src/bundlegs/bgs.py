@@ -8,25 +8,26 @@ process either enriches the model one linearization at a time, compressing
 the old constraints into a single aggregated pair via the dual multipliers,
 or gives up and shrinks the sampling radius (a null step).
 
-The model is one array of rows [g_j, e_j]: a gradient and its linearization
-error at x_k.  Row 0 holds the gradient at x_k itself (error 0) and stays
-first; the m sampled points get their values and gradients from one
-`problems.sample_rows` call in either gradient mode, and their errors
-are taken at once (see `build_initial_model`).  An
-enrichment keeps the rows whose multipliers carry the weight theta
-(`select_indices`), stacks the new cut and the prior aggregate below them in
-a new array, and solves that stack.  The initial model's
-aggregate is the QP's own lam @ G; an enrichment's is the row-by-row sum of
-`aggregate`.  Near-duplicate rows make round-off decide how lam splits among
-them, so each aggregate keeps its own summation order: either order used for
-both moves the gradient counts.
+Every cut is one row [g_j | e_j]: a gradient and its linearization error at
+x_k.  The model is an array of such rows, and the aggregate and the new cut
+of an enrichment are rows of the same form.  Row 0 holds the gradient at x_k
+itself (error 0) and stays first; the m sampled points get their values and
+gradients from one `problems.sample_rows` call in either gradient mode, and
+their errors are taken at once (see `build_initial_model`).  An enrichment
+keeps the rows whose multipliers carry the weight theta (`select_indices`),
+stacks the new cut and the aggregate below them in a new array, and solves
+that stack.  The initial model's aggregate is the QP's own lam @ G; an
+enrichment's is the row-by-row sum of `aggregate`.  Near-duplicate rows make
+round-off decide how lam splits among them, so each aggregate keeps its own
+summation order: either order used for both moves the gradient counts.
 
 The improvement process gives up when the new linearization fails the
 improvement criterion, or when the model has stopped paying for its
 enrichments: the dual value w fell by less than the factor gamma over the
 last m + 1 of them (see `model_stalled`).  A serious step found by the
 initial sampled model is stretched by doubling while f keeps falling (see
-`extrapolate`); a step found after enrichment is taken as it is.
+`extrapolate`); a step found after enrichment is taken as it is.  The step,
+its stretch and the FDP perturbations are all judged by `sufficient_decrease`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problems import EvaluationError, GradientMode, ObjectiveOracle, gradient, sample_rows
+from .problems import (EvaluationError, GradientMode, ObjectiveOracle, gradient,
+                       require_integers, sample_rows)
 from .qp import QpFailureError, SimplexQpInstance, SimplexQpSolution, solve_simplex_qp
 from .sampling import sample_ball
 
@@ -92,6 +94,7 @@ class SolverConfig:
     collect_diagnostics: bool = False
 
     def __post_init__(self) -> None:
+        require_integers(m=self.m, seed=self.seed, max_outer=self.max_outer)
         if not 0.0 < self.eps0 < math.inf:
             raise ValueError("eps0 must be positive and finite")
         if not 0.0 < self.mu < 1.0:
@@ -120,14 +123,6 @@ class SolverConfig:
         if self.m is not None:
             return int(self.m)
         return 2 * n if n <= 20 else math.ceil(n / 10)
-
-
-@dataclass
-class AggregateAtom:
-    """The compressed pair (g_tilde, e_tilde) produced by aggregation."""
-
-    g_tilde: np.ndarray
-    e_tilde: float
 
 
 @dataclass
@@ -289,10 +284,9 @@ def build_initial_model(
     return rows, m + 1 + len(bad)
 
 
-def direction_from_dual(agg: SimplexQpSolution | AggregateAtom, eps_k: float,
-                        alpha: float) -> StepOutcome:
-    """Recover (d, z, v, w) from a pair (g_tilde, e_tilde) via the duality identities."""
-    g, e = agg.g_tilde, agg.e_tilde
+def direction_from_dual(agg: np.ndarray, eps_k: float, alpha: float) -> StepOutcome:
+    """(d, z, v, w) of the aggregate row [g_tilde | e_tilde], by the duality identities."""
+    g, e = agg[:-1], float(agg[-1])
     scale = eps_k ** alpha
     gg = float(g @ g)
     return StepOutcome(direction=-scale * g, z=-scale * gg - e,
@@ -327,7 +321,7 @@ def extrapolate(
             f_next = oracle.f(x + (2.0 * t) * d)
         except EvaluationError:
             break
-        if not (f_next < f_t and f_next - f_x <= beta * 2.0 * t * z):
+        if not (f_next < f_t and sufficient_decrease(f_x, f_next, 2.0 * t * z, beta)):
             break
         t, f_t = 2.0 * t, f_next
     return t, f_t
@@ -341,52 +335,50 @@ def fdp_perturb(
     f_d: float,
     beta: float,
     z: float,
-    mode: str,
+    serious: bool,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """Differentiable perturbation of x + d that preserves the step's status.
+    """Differentiable perturbation of x + d that keeps the step's status.
 
-    mode "FDP1" requires (and preserves) f(x+d) - f_x <= beta*z on entry;
-    "FDP2" the strict opposite; f_x is f(x), f_d is f(x + d).  x_hat is
-    resampled from B(x, sigma_hat), sigma_hat = `_FDP_SIGMA` halved per trial,
-    until x_hat + d is a differentiable point with the mode's inequality
-    intact.  Returns that point and f there, evaluated once and not at x + d.
+    `serious` is the `sufficient_decrease` verdict on x + d: True for FDP1,
+    False for FDP2; f_x is f(x), f_d is f(x + d).  x_hat is drawn from
+    B(x, sigma_hat), sigma_hat = `_FDP_SIGMA` halved per trial, until x_hat + d
+    is a differentiable point with the same verdict; returns it and f there,
+    evaluating no point twice.  After `_FDP_MAX_HALVINGS` trials it gives up
+    with a warning and returns x + d and f_d, whose verdict is right.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
-    if mode not in ("FDP1", "FDP2"):
-        raise ValueError(f"unknown perturbation mode {mode!r}")
-
     point, f_point = x + d, f_d
     sigma_hat = _FDP_SIGMA
     for _ in range(_FDP_MAX_HALVINGS):
         if oracle.differentiable_at(point):
             if f_point is None:
                 f_point = oracle.f(point)
-            gap = f_point - f_x
-            if gap <= beta * z if mode == "FDP1" else gap > beta * z:
+            if sufficient_decrease(f_x, f_point, z, beta) == serious:
                 return point, f_point
         point, f_point = sample_ball(x, sigma_hat, 1, rng)[0] + d, None
         sigma_hat *= 0.5
-    warnings.warn(f"{mode}: no acceptable perturbation within {_FDP_MAX_HALVINGS} trials")
-    return point, oracle.f(point)
+    warnings.warn(f"{'FDP1' if serious else 'FDP2'}: no acceptable perturbation within "
+                  f"{_FDP_MAX_HALVINGS} trials; x + d kept")
+    return x + d, f_d
 
 
-def improvement_criterion(e_new: float, agg: AggregateAtom, f_gap: float, gamma: float) -> bool:
+def improvement_criterion(e_new: float, e_tilde: float, f_gap: float, v: float,
+                          gamma: float) -> bool:
     """True iff the new linearization should enrich the model.
 
     Either its error is small against the aggregated error (e_new <= gamma *
     e_tilde), or the function gap at the trial point is within the model's
-    own measure (|f(x_k+d) - f(x_k)| <= 0.5*||g_tilde||^2 + e_tilde).  False
-    means a null step: shrink the radius and rebuild.
+    own measure, the stationarity measure v = 0.5*||g_tilde||^2 + e_tilde of
+    the current step (|f(x_k+d) - f(x_k)| <= v).  False means a null step:
+    shrink the radius and rebuild.
 
     Near a minimizer the first disjunct can keep holding while each new cut
     lowers w only like 1/i, so `run` also takes a null step when
     `model_stalled` reports that w no longer falls.
     """
-    if e_new <= gamma * agg.e_tilde:
-        return True
-    return f_gap <= 0.5 * float(agg.g_tilde @ agg.g_tilde) + agg.e_tilde
+    return e_new <= gamma * e_tilde or f_gap <= v
 
 
 def model_stalled(w_history: list[float], window: int, gamma: float) -> bool:
@@ -430,8 +422,8 @@ def select_indices(lam: np.ndarray, theta: float, forced: tuple[int, ...] = ()) 
     return sorted(keep)
 
 
-def aggregate(lam: np.ndarray, rows: np.ndarray) -> AggregateAtom:
-    """Convex combination sum_j lam_j [g_j, e_j] of the rows, with e_tilde clamped at 0.
+def aggregate(lam: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The row [g_tilde | e_tilde] = sum_j lam_j [g_j | e_j], its last entry clamped at 0.
 
     The sum runs row by row in order, the prior aggregate (last row, when
     present) last; `lam @ rows` rounds differently.
@@ -440,7 +432,8 @@ def aggregate(lam: np.ndarray, rows: np.ndarray) -> AggregateAtom:
     if lam.size != len(rows):
         raise ValueError(f"lambda length {lam.size} does not match {len(rows)} rows")
     row = (lam[:, None] * rows).sum(axis=0)
-    return AggregateAtom(g_tilde=row[:-1], e_tilde=max(row[-1], 0.0))
+    row[-1] = max(row[-1], 0.0)
+    return row
 
 
 def _solve_model(rows: np.ndarray, scale: float, warm: np.ndarray | None,
@@ -490,7 +483,6 @@ def run(
     callback that returns True on the converged record leaves "converged".
     """
     mode = grad_mode or GradientMode.exact()
-    strict = mode.strict
     checks = config.differentiability_checks
     x = np.array(x0 if x0 is not None else oracle.x0, dtype=float)
     if x.size != oracle.dimension or not np.all(np.isfinite(x)):
@@ -511,8 +503,8 @@ def run(
         diag = None
         if config.collect_diagnostics:
             diag = StepDiagnostics(
-                x_k=x.copy(), f_xk=f_x, g_tilde=agg.g_tilde.copy(),
-                e_tilde=agg.e_tilde, d=step.direction.copy(), z=step.z,
+                x_k=x.copy(), f_xk=f_x, g_tilde=agg[:-1].copy(),
+                e_tilde=agg[-1], d=step.direction.copy(), z=step.z,
                 eps_alpha=eps ** config.alpha, grad_xk=grad_xk.copy(),
             )
             if kind is StepKind.INNER_ENRICH:
@@ -520,10 +512,8 @@ def run(
                 diag.d_prev, diag.z_prev = prior.direction.copy(), prior.z
                 # per row: a matmul rounds this diagnostic differently
                 diag.model_z_max = max(float(r[:-1] @ step.direction) - r[-1] for r in model)
-        rec = IterationTrace(
-            k=k, i=i, f_val=f_val, v=step.v, w=step.w, radius=eps,
-            kind=kind, grad_evals_cum=g_evals, diag=diag,
-        )
+        rec = IterationTrace(k=k, i=i, f_val=f_val, v=step.v, w=step.w, radius=eps,
+                             kind=kind, grad_evals_cum=g_evals, diag=diag)
         trace.append(rec)
         if stop_callback is not None and stop_callback(rec) and stop_reason is None:
             stop_reason = "callback"
@@ -548,10 +538,10 @@ def run(
         grad_xk = rows[0, :-1]
         sol = _solve_model(rows, scale, None, f"initial subproblem at k={k}")
         lam = sol.lam
-        # the initial aggregate is the QP's own lam @ G: the row-by-row sum of
-        # `aggregate` rounds differently and moves the gradient counts
-        agg = AggregateAtom(sol.g_tilde, max(sol.e_tilde, 0.0))
-        step = direction_from_dual(sol, eps, config.alpha)
+        # the initial aggregate row is the QP's own lam @ G: the row-by-row
+        # sum of `aggregate` rounds differently and moves the gradient counts
+        agg = np.append(sol.g_tilde, max(sol.e_tilde, 0.0))
+        step = direction_from_dual(agg, eps, config.alpha)
         w_history = [step.w]
 
         # model_stalled ends chains long before the guard inner_cap does
@@ -563,34 +553,33 @@ def run(
 
             trial = x + step.direction
             f_trial = oracle.f(trial)
-            if sufficient_decrease(f_x, f_trial, step.z, config.beta):
+            f_gap = abs(f_trial - f_x)
+            serious = sufficient_decrease(f_x, f_trial, step.z, config.beta)
+            t = 1.0
+            if serious and i == 0:
+                # the initial model's step length was never tested against
+                # f: stretch it while f keeps falling
+                t, f_trial = extrapolate(oracle, x, step.direction, f_x,
+                                         f_trial, step.z, config.beta)
+                if t > 1.0:
+                    trial = x + t * step.direction
+            if checks:
+                # a differentiable point of the same status nearby
+                trial, f_trial = fdp_perturb(oracle, x, f_x, t * step.direction, f_trial,
+                                             config.beta, t * step.z, serious, rng)
+            if serious:
                 # serious step: radius unchanged
-                t = 1.0
-                if i == 0:
-                    # the initial model's step length was never tested
-                    # against f: stretch it while f keeps falling
-                    t, f_trial = extrapolate(oracle, x, step.direction, f_x,
-                                             f_trial, step.z, config.beta)
-                    if t > 1.0:
-                        trial = x + t * step.direction
-                if checks:
-                    trial, f_trial = fdp_perturb(oracle, x, f_x, t * step.direction, f_trial,
-                                                 config.beta, t * step.z, "FDP1", rng)
                 emit(StepKind.SERIOUS_STEP, f_trial)
                 x, f_x = trial, f_trial
                 break
 
             # improvement process: new auxiliary point and linearization
-            f_gap = abs(f_trial - f_x)
-            if checks:
-                trial, f_trial = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
-                                             config.beta, step.z, "FDP2", rng)
             g_new = gradient(oracle, mode, trial, f_x=f_trial)
             g_evals += 1
-            e_new = linearization_error(f_x, f_trial, g_new, x, trial, strict)
+            e_new = linearization_error(f_x, f_trial, g_new, x, trial, mode.strict)
 
             if (model_stalled(w_history, m + 1, config.gamma)
-                    or not improvement_criterion(e_new, agg, f_gap, config.gamma)):
+                    or not improvement_criterion(e_new, agg[-1], f_gap, step.v, config.gamma)):
                 # null step: the model stopped improving or the new cut is
                 # useless; shrink the sampling region, keep the iterate
                 emit(StepKind.NULL_STEP, f_x)
@@ -604,7 +593,7 @@ def run(
             model = np.empty((q + 2, n + 1))
             rows.take(keep, axis=0, out=model[:q])
             model[q, :-1], model[q, -1] = g_new, e_new
-            model[q + 1, :-1], model[q + 1, -1] = agg.g_tilde, agg.e_tilde
+            model[q + 1] = agg
             warm = np.zeros(q + 2)
             lam.take(keep, out=warm[:q])
             warm[-1] = max(0.0, 1.0 - warm.sum())

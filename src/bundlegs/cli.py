@@ -6,12 +6,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .harness import ExperimentSpec, load_config_file, run_experiment
 from .problems import catalog
 
 # forwarded for either solver; the spec refuses those the solver has no use for
 _SOLVER_KEYS = ("m", "eps0", "mu", "alpha", "gamma", "beta", "theta")
+# the ExperimentSpec field of each other key, where its name differs
+_SPEC_FIELDS = {"reps": "replications", "seed": "seed_base", "tol": "stop_rel_err",
+                "out": "output", "fd": "fd_step", "trace": "trace_path"}
+_DEFAULT = {f.name: f.default for f in fields(ExperimentSpec)}
 # parser options that steer the CLI itself and are no experiment option
 _CLI_ONLY = ("help", "config", "list_problems")
 
@@ -27,8 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["bgs", "gs"], help="which solver to run")
     p.add_argument("--problem", help="problem name or table index (see --list-problems)")
     p.add_argument("--n", type=int, help="problem dimension (scalable problems)")
-    p.add_argument("--reps", type=int, help="number of replications (default 5)")
-    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+    p.add_argument("--reps", type=int,
+                   help=f"number of replications (default {_DEFAULT['replications']})")
+    p.add_argument("--seed", type=int, help=f"base RNG seed (default {_DEFAULT['seed_base']})")
     p.add_argument("--tol", type=float, help="relative-error stopping tolerance")
     p.add_argument("--m", type=int, help="sample size per outer iteration")
     p.add_argument("--eps0", type=float, help="initial sampling radius")
@@ -40,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fd", type=float, metavar="H",
                    help="use forward-difference gradients with step H")
     p.add_argument("--out", help="output path for the per-run report")
-    p.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
+    p.add_argument("--format", choices=["csv", "json"],
+                   help=f"report format (default {_DEFAULT['format']})")
     p.add_argument("--trace", help="path prefix for per-run trace export")
     p.add_argument("--list-problems", action="store_true",
                    help="print the problem catalog as JSON and exit")
@@ -90,19 +97,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
+        # only the keys that are set: the spec holds every default
         spec = ExperimentSpec(
-            solver=opts["solver"],
-            problem=opts["problem"],
-            n=opts.get("n"),
-            replications=opts.get("reps", 5),
-            stop_rel_err=opts.get("tol"),
-            seed_base=opts.get("seed", 0),
-            output=opts.get("out"),
-            format=opts.get("format", "csv"),
-            solver_options={k: opts[k] for k in _SOLVER_KEYS if k in opts},
-            fd_step=opts.get("fd"),
-            trace_path=opts.get("trace"),
-        )
+            **{_SPEC_FIELDS.get(k, k): v for k, v in opts.items() if k not in _SOLVER_KEYS},
+            solver_options={k: opts[k] for k in _SOLVER_KEYS if k in opts})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bgs import RunResult
-from .problems import EvaluationError, GradientMode, ObjectiveOracle, gradient, sample_rows
+from .problems import (EvaluationError, GradientMode, ObjectiveOracle, gradient,
+                       require_integers, sample_rows)
 # solve_simplex_qp and SimplexQpInstance stay importable from here: perfbench's
 # probe looks both up on this module by name
 from .qp import QpFailureError, SimplexQpInstance, min_norm_point, solve_simplex_qp  # noqa: F401
@@ -51,12 +52,15 @@ class GsConfig:
     max_iters: int = 1000
 
     def __post_init__(self) -> None:
+        require_integers(m=self.m, seed=self.seed, max_iters=self.max_iters)
         if self.m is not None and self.m < 1:
             raise ValueError("m must be positive")
         if not 0.0 < self.eps0 < math.inf:
             raise ValueError("eps0 must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
     def resolve_m(self, n: int) -> int:
         return int(self.m) if self.m is not None else 2 * n
@@ -119,17 +123,12 @@ def gs_run(
         else:
             d = -sol.g_tilde / gnorm
             t = 1.0
-            accepted = False
             for _ in range(_MAX_BACKTRACKS):
                 f_t = oracle.f(x + t * d)
                 if f_t < f_x - _ARMIJO_BETA * t * gnorm:
-                    accepted = True
+                    x, f_x, kind = x + t * d, f_t, "step"
                     break
                 t *= _ARMIJO_GAMMA
-            if accepted:
-                x = x + t * d
-                f_x = f_t
-                kind = "step"
             else:
                 kind = "shrink"
 

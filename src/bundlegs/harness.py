@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import bgs, gs
-from .problems import EvaluationError, GradientMode, ObjectiveOracle, make_problem
+from .problems import (EvaluationError, GradientMode, ObjectiveOracle, make_problem,
+                       require_integers)
 from .sampling import sample_ball
 
 REPORT_FIELDS = ["solver", "problem", "n", "seed", "iters", "g_eval",
@@ -51,6 +52,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.solver not in ("bgs", "gs"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        require_integers(replications=self.replications, seed_base=self.seed_base)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.seed_base < 0:

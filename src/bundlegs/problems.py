@@ -39,6 +39,15 @@ class EvaluationError(RuntimeError):
     """An oracle produced a non-finite value."""
 
 
+def require_integers(**values) -> None:
+    """ValueError naming the first of `values` that is set (not None) but not a
+    Python or numpy integer; a float, even 2.0, and a bool are refused."""
+    for name, value in values.items():
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, np.integer))):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GradientMode:
     """How gradients are supplied: analytically or by forward differences."""
@@ -567,6 +576,7 @@ def catalog() -> list[dict]:
 
 def make_problem(name: str, n: int | None = None) -> ObjectiveOracle:
     """Build a benchmark oracle by registry name (or table index) and size."""
+    require_integers(n=n)
     key = str(name).lower().replace("-", "").replace("_", "").replace(" ", "")
     if key not in _ALIASES:
         raise ValueError(f"unknown problem {name!r}; known: {', '.join(_REGISTRY)}")

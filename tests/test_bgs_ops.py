@@ -11,7 +11,6 @@ from helpers import (abs_oracle, quadratic_oracle, reference_build_initial_model
 
 from bundlegs import bgs
 from bundlegs.bgs import (
-    AggregateAtom,
     ConvexityError,
     SolverConfig,
     aggregate,
@@ -27,14 +26,12 @@ from bundlegs.bgs import (
 )
 from bundlegs.harness import perturb_start
 from bundlegs.problems import EvaluationError, GradientMode, ObjectiveOracle, make_problem
-from bundlegs.qp import SimplexQpSolution
 from bundlegs.sampling import sample_ball
 
 
-def _solution(g, e):
-    g = np.asarray(g, float)
-    return SimplexQpSolution(lam=np.array([1.0]), g_tilde=g, e_tilde=e,
-                             w=0.0, kkt_residual=0.0, iterations=1, converged=True)
+def _row(g, e):
+    """The aggregate row [g | e]."""
+    return np.append(np.asarray(g, float), e)
 
 
 class TestLinearizationError:
@@ -108,29 +105,29 @@ class TestBuildInitialModel:
 
 class TestDirectionFromDual:
     def test_zero_aggregate_terminates(self):
-        out = direction_from_dual(_solution([0.0, 0.0], 0.0), 1.0, 0.5)
+        out = direction_from_dual(_row([0.0, 0.0], 0.0), 1.0, 0.5)
         assert out.v == 0.0 and out.z == 0.0
         np.testing.assert_array_equal(out.direction, [0.0, 0.0])
 
     def test_unit_scale(self):
-        out = direction_from_dual(_solution([1.0, 0.0], 0.5), 1.0, 0.5)
+        out = direction_from_dual(_row([1.0, 0.0], 0.5), 1.0, 0.5)
         np.testing.assert_allclose(out.direction, [-1.0, 0.0])
         assert out.z == -1.5 and out.v == 1.0 and out.w == 1.0
 
     def test_quarter_scale(self):
         # eps^alpha = 0.25
-        out = direction_from_dual(_solution([2.0, 0.0], 0.0), 0.0625, 0.5)
+        out = direction_from_dual(_row([2.0, 0.0], 0.0), 0.0625, 0.5)
         np.testing.assert_allclose(out.direction, [-0.5, 0.0])
         assert abs(out.z + 1.0) < 1e-14
         assert out.v == 2.0 and out.w == 2.0
 
     def test_aggregate_pair(self):
-        # an AggregateAtom gives the same step as a QP solution with its pair
-        agg = AggregateAtom(np.array([3.0, -4.0]), 0.5)
-        a = direction_from_dual(agg, 0.25, 0.5)
-        b = direction_from_dual(_solution([3.0, -4.0], 0.5), 0.25, 0.5)
-        np.testing.assert_array_equal(a.direction, b.direction)
-        assert (a.z, a.v, a.w) == (b.z, b.v, b.w)
+        # the row's last entry is e_tilde and the rest g_tilde, as `aggregate`
+        # returns them; eps^alpha = 0.5
+        agg = aggregate(np.array([0.5, 0.5]), np.array([[3.0, -4.0, 0.0], [3.0, -4.0, 1.0]]))
+        out = direction_from_dual(agg, 0.25, 0.5)
+        np.testing.assert_array_equal(out.direction, [-1.5, 2.0])
+        assert (out.z, out.v, out.w) == (-13.0, 13.0, 13.5)
 
     def test_identities_hold(self):
         rng = np.random.default_rng(4)
@@ -138,7 +135,7 @@ class TestDirectionFromDual:
             g = rng.standard_normal(3)
             e = float(rng.uniform(0, 2))
             eps, alpha = float(rng.uniform(0.01, 2.0)), float(rng.uniform(0.2, 1.5))
-            out = direction_from_dual(_solution(g, e), eps, alpha)
+            out = direction_from_dual(_row(g, e), eps, alpha)
             s = eps ** alpha
             assert np.linalg.norm(out.direction + s * g) <= 1e-10
             assert abs(out.z + s * float(g @ g) + e) <= 1e-10
@@ -174,7 +171,7 @@ class TestFdpPerturb:
         o, points = _counting(quadratic_oracle(2))
         rng = np.random.default_rng(0)
         x, d = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -1.0, "FDP1", rng)
+        out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -1.0, True, rng)
         np.testing.assert_array_equal(out, x + d)
         assert f_out == 0.0 and points == []
 
@@ -184,7 +181,7 @@ class TestFdpPerturb:
         o, points = _counting(abs_oracle())
         rng = np.random.default_rng(5)
         x, d = np.array([1.0]), np.array([-1.0])
-        out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -1.0, "FDP1", rng)
+        out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -1.0, True, rng)
         assert out[0] != 0.0
         assert abs(out[0] - 0.0) < bgs._FDP_SIGMA
         assert f_out == o.f(out)
@@ -198,7 +195,7 @@ class TestFdpPerturb:
         o, points = _counting(abs_oracle())
         rng = np.random.default_rng(6)
         x, d = np.array([0.5]), np.array([-0.5])
-        out, f_out = fdp_perturb(o, x, 0.5, d, 0.0, 0.9, -1.0, "FDP2", rng)
+        out, f_out = fdp_perturb(o, x, 0.5, d, 0.0, 0.9, -1.0, False, rng)
         assert out[0] != 0.0
         assert abs(out[0]) < bgs._FDP_SIGMA
         assert f_out == o.f(out)
@@ -211,40 +208,69 @@ class TestFdpPerturb:
         o, points = _counting(abs_oracle())
         rng = np.random.default_rng(7)
         out, f_out = fdp_perturb(o, np.array([1.0]), 1.0, np.array([-1.0]), 0.0, 0.5, -1.0,
-                                 "FDP1", rng)
+                                 True, rng)
         assert abs(out[0] - 0.0) <= 1e-3
         assert f_out == o.f(out) == abs(out[0])
         assert len(points) == 2
 
-    def test_unknown_mode_is_refused(self):
-        with pytest.raises(ValueError, match="unknown perturbation mode 'FDP3'"):
-            fdp_perturb(abs_oracle(), np.array([1.0]), 1.0, np.array([-1.0]), 0.0, 0.5, -1.0,
-                        "FDP3", np.random.default_rng(0))
-
-    def test_fdp1_that_finds_no_point_evaluates_its_last_draw_once(self):
-        # FDP1 can never hold when beta*z is below -f(x): every draw fails
+    def test_fdp1_that_finds_no_point_returns_x_plus_d(self):
+        # FDP1 can never hold when beta*z is below -f(x): every draw fails.
+        # The kink x + d and the last draw are never evaluated; x + d comes
+        # back with the value the caller passed
         o, points = _counting(abs_oracle())
         rng = np.random.default_rng(8)
         x, d = np.array([1.0]), np.array([-1.0])
-        with pytest.warns(UserWarning, match="no acceptable perturbation"):
-            out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -4.0, "FDP1", rng)
-        assert f_out == abs(out[0])
-        np.testing.assert_array_equal(points[-1], out)
-        assert len({p.tobytes() for p in points}) == len(points)
+        with pytest.warns(UserWarning, match="FDP1: no acceptable perturbation"):
+            out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -4.0, True, rng)
+        np.testing.assert_array_equal(out, x + d)
+        assert f_out == 0.0
+        # the calls are those at the differentiable draws the loop tested
+        rng = np.random.default_rng(8)
+        draws = [sample_ball(x, bgs._FDP_SIGMA * 0.5 ** j, 1, rng)[0] + d
+                 for j in range(bgs._FDP_MAX_HALVINGS)]
+        tested = [p.tobytes() for p in draws[:-1] if o.differentiable_at(p)]
+        assert [p.tobytes() for p in points] == tested
+
+    def test_give_up_keeps_the_step_status(self):
+        # nowhere smooth: no draw is accepted or evaluated, and the point
+        # returned must still satisfy f - f_x <= beta*z
+        o, points = _counting(ObjectiveOracle("abs-nowhere-smooth", 1, 0.0, np.zeros(1),
+                                              lambda x: abs(x[0]), np.sign,
+                                              smooth_at=lambda x: False))
+        with pytest.warns(UserWarning, match="FDP1: no acceptable perturbation"):
+            out, f_out = fdp_perturb(o, np.array([0.0]), 0.0, np.array([0.0]), 0.0, 1.0, 0.0,
+                                     True, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, [0.0])
+        assert f_out == 0.0 and sufficient_decrease(0.0, f_out, 0.0, 1.0)
+        assert points == []
+
+    def test_fdp2_give_up_names_fdp2(self):
+        o = ObjectiveOracle("abs-nowhere-smooth", 1, 0.0, np.zeros(1), lambda x: abs(x[0]),
+                            np.sign, smooth_at=lambda x: False)
+        with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
+            out, f_out = fdp_perturb(o, np.array([1.0]), 1.0, np.array([0.5]), 1.5, 0.5, -1.0,
+                                     False, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, [1.5])
+        assert f_out == 1.5
 
 
 class TestImprovementCriterion:
+    # (e_new, e_tilde, f_gap, v, gamma); v is the step's 0.5*||g_tilde||^2 + e_tilde
+
     def test_zero_error_enriches(self):
-        agg = AggregateAtom(np.array([1.0]), 0.5)
-        assert improvement_criterion(0.0, agg, 10.0, 0.9)
+        assert improvement_criterion(0.0, 0.5, 10.0, 1.0, 0.9)
 
     def test_second_clause(self):
-        agg = AggregateAtom(np.array([0.0]), 1.0)
-        assert improvement_criterion(10.0, agg, 0.5, 0.9)
+        assert improvement_criterion(10.0, 1.0, 0.5, 1.0, 0.9)
 
     def test_both_fail_means_null(self):
-        agg = AggregateAtom(np.array([np.sqrt(0.2)]), 1.0)
-        assert not improvement_criterion(10.0, agg, 5.0, 0.9)
+        assert not improvement_criterion(10.0, 1.0, 5.0, 1.1, 0.9)
+
+    def test_second_clause_is_the_stationarity_measure(self):
+        # the gap is compared with v itself, up to equality
+        v = direction_from_dual(_row([0.3, -0.4], 0.25), 1.0, 0.5).v
+        assert improvement_criterion(10.0, 0.25, v, v, 0.9)
+        assert not improvement_criterion(10.0, 0.25, math.nextafter(v, math.inf), v, 0.9)
 
 
 class TestModelStalled:
@@ -342,21 +368,22 @@ class TestAggregate:
     def test_single_atom_identity(self):
         row = np.array([1.0, 2.0, 0.25])
         agg = aggregate(np.array([1.0]), row[None, :])
-        np.testing.assert_array_equal(agg.g_tilde, row[:-1])
-        assert agg.e_tilde == 0.25
+        np.testing.assert_array_equal(agg, row)
 
     def test_prior_passthrough(self):
-        prior = AggregateAtom(np.array([3.0, -1.0]), 0.7)
-        rows = np.array([[1.0, 2.0, 0.25], [3.0, -1.0, 0.7]])
+        prior = np.array([3.0, -1.0, 0.7])
+        rows = np.array([[1.0, 2.0, 0.25], prior])
         agg = aggregate(np.array([0.0, 1.0]), rows)
-        np.testing.assert_array_equal(agg.g_tilde, prior.g_tilde)
-        assert agg.e_tilde == prior.e_tilde
+        np.testing.assert_array_equal(agg, prior)
 
     def test_even_mix(self):
         rows = np.array([[1.0, 0.0], [-1.0, 2.0]])
         agg = aggregate(np.array([0.5, 0.5]), rows)
-        np.testing.assert_array_equal(agg.g_tilde, [0.0])
-        assert agg.e_tilde == 1.0
+        np.testing.assert_array_equal(agg, [0.0, 1.0])
+
+    def test_error_clamped_at_zero(self):
+        agg = aggregate(np.array([0.5, 0.5]), np.array([[1.0, -3.0], [2.0, 1.0]]))
+        np.testing.assert_array_equal(agg, [1.5, 0.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -375,8 +402,8 @@ class TestAggregate:
             for lam_j, row_j in zip(lam, rows):
                 want = want + lam_j * row_j
             agg = aggregate(lam, rows)
-            assert agg.g_tilde.tobytes() == want[:-1].tobytes()
-            assert np.float64(agg.e_tilde).tobytes() == np.float64(max(want[-1], 0.0)).tobytes()
+            want[-1] = max(want[-1], 0.0)
+            assert agg.tobytes() == want.tobytes()
 
 
 def test_config_validation():
@@ -401,6 +428,14 @@ def test_config_validation():
             SolverConfig(gamma=gamma)
     with pytest.raises(ValueError, match="max_outer must be at least 1"):
         SolverConfig(max_outer=0)
+    # a float, even an integral one, or a bool is refused, naming the field;
+    # m=2.5 used to run as m=2, max_outer=2.5 three iterations
+    for field, value in [("m", 2.5), ("m", 2.0), ("seed", 1.5), ("max_outer", 2.5),
+                         ("max_outer", True)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            SolverConfig(**{field: value})
+    cfg = SolverConfig(m=np.int64(7), seed=np.uint32(3), max_outer=np.int32(5))
+    assert cfg.resolve_m(50) == 7
     assert SolverConfig().resolve_m(10) == 20
     assert SolverConfig().resolve_m(50) == 5
     assert SolverConfig(m=7).resolve_m(50) == 7

@@ -114,7 +114,15 @@ def test_config_validation():
         GsConfig(eps0=float("inf"))
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         GsConfig(seed=-1)
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        GsConfig(max_iters=0)
+    # a float, even an integral one, or a bool is refused, naming the field
+    for field, value in [("m", 2.5), ("m", 4.0), ("seed", 1.5), ("max_iters", 2.5),
+                         ("seed", False)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            GsConfig(**{field: value})
     assert GsConfig().resolve_m(50) == 100
+    assert GsConfig(m=np.int64(3), seed=np.uint8(1), max_iters=np.int32(2)).resolve_m(50) == 3
 
 
 def test_bad_x0_rejected():

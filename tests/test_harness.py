@@ -145,6 +145,14 @@ def test_fd_step_must_be_positive(h):
         ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8, fd_step=h)
 
 
+def test_spec_takes_numpy_integers():
+    spec = ExperimentSpec(solver="bgs", problem="ChainedLQ", n=np.int64(4),
+                          replications=np.int32(1), seed_base=np.uint8(2),
+                          solver_options={"m": np.int64(3)}, measure_time=False)
+    (report,), _ = run_experiment(spec)
+    assert (report.n, report.seed, report.stop_reason) == (4, 2, "rel_err")
+
+
 def test_negative_seed_base_is_refused():
     # numpy's generators refuse a negative seed only once the first run starts
     with pytest.raises(ValueError, match="seed_base must be nonnegative"):
@@ -178,8 +186,21 @@ def test_spec_validation(field, value, message):
     ({"solver": "gs", "solver_options": {"m": 0}}, "m must be positive"),
     ({"output": "missing/run.csv"}, "missing/run.csv: directory missing does not exist"),
     ({"trace_path": "missing/run"}, "missing/run: directory missing does not exist"),
+    # fields of the wrong numeric type, each named; a float is refused even
+    # when integral, where it used to be truncated or to fail in the first run
+    ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+    ({"seed_base": 1.5}, "seed_base must be an integer, got 1.5"),
+    ({"n": 8.5}, "n must be an integer, got 8.5"),
+    ({"problem": "QL", "n": 2.0}, "n must be an integer, got 2.0"),
+    ({"solver_options": {"m": 2.5}}, "m must be an integer, got 2.5"),
+    ({"solver_options": {"max_outer": 2.5}}, "max_outer must be an integer, got 2.5"),
+    ({"solver": "gs", "solver_options": {"max_iters": 2.5}},
+     "max_iters must be an integer, got 2.5"),
+    ({"solver": "gs", "solver_options": {"max_iters": 0}}, "max_iters must be at least 1"),
 ], ids=["unknown-problem", "fixed-dimension", "gs-takes-no-mu", "bgs-takes-no-sigma",
-        "seed-option", "bgs-negative-m", "gs-zero-m", "output-directory", "trace-directory"])
+        "seed-option", "bgs-negative-m", "gs-zero-m", "output-directory", "trace-directory",
+        "float-replications", "float-seed-base", "float-n", "integral-float-n", "float-m",
+        "float-max-outer", "gs-float-max-iters", "gs-zero-max-iters"])
 def test_spec_refuses_before_any_solve(changes, message, tmp_path, monkeypatch):
     # the experiment is judged where it is built, not once its runs start
     monkeypatch.chdir(tmp_path)
@@ -262,6 +283,24 @@ class TestCli:
         merged = cli._merge(parser.parse_args(argv))
         assert set(merged) == want
         assert {"solver", "problem", "fd", "trace"} <= want
+
+    def test_flags_reach_their_spec_fields(self, tmp_path, monkeypatch):
+        # a flag left out leaves the spec's own default
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda spec: specs.append(spec) or ([], {"n_excluded": 0}))
+        base = ["--solver", "bgs", "--problem", "ChainedLQ", "--n", "8"]
+        assert cli.main(base) == 0
+        assert cli.main([*base, "--reps", "2", "--seed", "3", "--tol", "1e-3", "--m", "4",
+                         "--fd", "1e-7", "--out", str(tmp_path / "r.json"), "--format", "json",
+                         "--trace", str(tmp_path / "t")]) == 0
+        assert specs == [
+            ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8),
+            ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8, replications=2, seed_base=3,
+                           stop_rel_err=1e-3, solver_options={"m": 4}, fd_step=1e-7,
+                           output=str(tmp_path / "r.json"), format="json",
+                           trace_path=str(tmp_path / "t")),
+        ]
 
     def test_missing_args(self, capsys):
         assert cli.main([]) == 2
