@@ -27,7 +27,8 @@ enrichments: the dual value w fell by less than the factor gamma over the
 last m + 1 of them (see `model_stalled`).  A serious step found by the
 initial sampled model is stretched by doubling while f keeps falling (see
 `extrapolate`); a step found after enrichment is taken as it is.  The step,
-its stretch and the FDP perturbations are all judged by `sufficient_decrease`.
+its stretch and FDP, which moves only a null step's auxiliary point (see
+`fdp_perturb`), are all judged by `sufficient_decrease`.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ _INNER_LIMIT_FACTOR = 500
 _EPS_TOL = 1e-16
 _MIN_RADIUS = 1e-12
 _FDP_SIGMA = 1e-8
-# trials of `fdp_perturb`, each at half the previous radius, before it gives up
-_FDP_MAX_HALVINGS = 64
+# trials of `fdp_perturb`, x + d then draws at halving radii, before it gives up
+_FDP_MAX_TRIALS = 64
 
 
 class ConvexityError(RuntimeError):
@@ -76,8 +77,9 @@ class SolverConfig:
 
     The defaults are the safe practical values: eps0=1, mu=0.5, alpha=0.5,
     gamma=0.9, beta=1e-6, theta=0.9.  When `m` is None it resolves to 2n for
-    n <= 20 and ceil(n/10) otherwise.  `differentiability_checks` turns on
-    the FDP1/FDP2 perturbations, `collect_diagnostics` the per-record audits;
+    n <= 20 and ceil(n/10) otherwise.  `differentiability_checks` moves each
+    null step's auxiliary point to a differentiable one (`fdp_perturb`),
+    `collect_diagnostics` turns on the per-record audits;
     the tolerances `_EPS_TOL`, `_MIN_RADIUS` and `_FDP_SIGMA` are fixed.
     """
 
@@ -335,32 +337,30 @@ def fdp_perturb(
     f_d: float,
     beta: float,
     z: float,
-    serious: bool,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """Differentiable perturbation of x + d that keeps the step's status.
+    """Differentiable perturbation of a null step's auxiliary point x + d (FDP2).
 
-    `serious` is the `sufficient_decrease` verdict on x + d: True for FDP1,
-    False for FDP2; f_x is f(x), f_d is f(x + d).  x_hat is drawn from
-    B(x, sigma_hat), sigma_hat = `_FDP_SIGMA` halved per trial, until x_hat + d
-    is a differentiable point with the same verdict; returns it and f there,
-    evaluating no point twice.  After `_FDP_MAX_HALVINGS` trials it gives up
-    with a warning and returns x + d and f_d, whose verdict is right.
+    x + d fails `sufficient_decrease`; f_x is f(x), f_d is f(x + d).  The
+    trials are x + d, then x_hat + d for x_hat drawn from B(x, sigma_hat),
+    sigma_hat = `_FDP_SIGMA` halved per draw.  Returns the first that is a
+    differentiable point and still fails the test, and f there, evaluating no
+    point twice.  After `_FDP_MAX_TRIALS` trials (x + d and 63 draws) it
+    gives up with a warning and returns x + d and f_d.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     point, f_point = x + d, f_d
-    sigma_hat = _FDP_SIGMA
-    for _ in range(_FDP_MAX_HALVINGS):
+    for j in range(_FDP_MAX_TRIALS):
+        if j > 0:
+            point, f_point = sample_ball(x, _FDP_SIGMA * 0.5 ** (j - 1), 1, rng)[0] + d, None
         if oracle.differentiable_at(point):
             if f_point is None:
                 f_point = oracle.f(point)
-            if sufficient_decrease(f_x, f_point, z, beta) == serious:
+            if not sufficient_decrease(f_x, f_point, z, beta):
                 return point, f_point
-        point, f_point = sample_ball(x, sigma_hat, 1, rng)[0] + d, None
-        sigma_hat *= 0.5
-    warnings.warn(f"{'FDP1' if serious else 'FDP2'}: no acceptable perturbation within "
-                  f"{_FDP_MAX_HALVINGS} trials; x + d kept")
+    warnings.warn(f"FDP2: no acceptable perturbation within {_FDP_MAX_TRIALS} trials; "
+                  "x + d kept")
     return x + d, f_d
 
 
@@ -554,26 +554,24 @@ def run(
             trial = x + step.direction
             f_trial = oracle.f(trial)
             f_gap = abs(f_trial - f_x)
-            serious = sufficient_decrease(f_x, f_trial, step.z, config.beta)
-            t = 1.0
-            if serious and i == 0:
-                # the initial model's step length was never tested against
-                # f: stretch it while f keeps falling
-                t, f_trial = extrapolate(oracle, x, step.direction, f_x,
-                                         f_trial, step.z, config.beta)
-                if t > 1.0:
-                    trial = x + t * step.direction
-            if checks:
-                # a differentiable point of the same status nearby
-                trial, f_trial = fdp_perturb(oracle, x, f_x, t * step.direction, f_trial,
-                                             config.beta, t * step.z, serious, rng)
-            if serious:
+            if sufficient_decrease(f_x, f_trial, step.z, config.beta):
+                if i == 0:
+                    # the initial model's step length was never tested
+                    # against f: stretch it while f keeps falling
+                    t, f_trial = extrapolate(oracle, x, step.direction, f_x,
+                                             f_trial, step.z, config.beta)
+                    if t > 1.0:
+                        trial = x + t * step.direction
                 # serious step: radius unchanged
                 emit(StepKind.SERIOUS_STEP, f_trial)
                 x, f_x = trial, f_trial
                 break
 
             # improvement process: new auxiliary point and linearization
+            if checks:
+                # a differentiable point nearby that also fails the test
+                trial, f_trial = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
+                                             config.beta, step.z, rng)
             g_new = gradient(oracle, mode, trial, f_x=f_trial)
             g_evals += 1
             e_new = linearization_error(f_x, f_trial, g_new, x, trial, mode.strict)

@@ -92,7 +92,9 @@ class ObjectiveOracle:
 
     `grad` evaluates one point with one `eval_grad` call, so a wrapper
     around `eval_grad` counts every gradient the solvers use; a block of
-    sampled points goes through `sample_rows`.
+    sampled points goes through `sample_rows`.  `grad` refuses a gradient
+    that is not an n-vector; both solvers take the gradient at their start
+    through it before any sampled block.
     """
 
     name: str
@@ -111,6 +113,9 @@ class ObjectiveOracle:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.eval_grad(np.asarray(x, dtype=float)), dtype=float)
+        if g.shape != (self.dimension,):
+            raise EvaluationError(f"{self.name}: gradient of shape {g.shape} at x={x!r}, "
+                                  f"expected ({self.dimension},)")
         if not _all_finite(g):
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x!r}")
         return g

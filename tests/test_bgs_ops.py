@@ -166,28 +166,16 @@ def _counting(oracle):
 
 
 class TestFdpPerturb:
+    # every case moves a null step's point: x + d fails f - f_x <= beta*z
+
     def test_already_acceptable_is_unchanged(self):
         # x + d and f there are returned as they came, without an evaluation
         o, points = _counting(quadratic_oracle(2))
         rng = np.random.default_rng(0)
-        x, d = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -1.0, True, rng)
+        x, d = np.array([1.0, 0.0]), np.array([0.5, 0.0])
+        out, f_out = fdp_perturb(o, x, 1.0, d, 2.25, 0.5, -1.0, rng)
         np.testing.assert_array_equal(out, x + d)
-        assert f_out == 0.0 and points == []
-
-    def test_kink_gets_perturbed_within_sigma(self):
-        # x + d lands exactly on the kink of |x|; the result must move off it,
-        # stay within the perturbation radius, and keep the decrease condition
-        o, points = _counting(abs_oracle())
-        rng = np.random.default_rng(5)
-        x, d = np.array([1.0]), np.array([-1.0])
-        out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -1.0, True, rng)
-        assert out[0] != 0.0
-        assert abs(out[0] - 0.0) < bgs._FDP_SIGMA
-        assert f_out == o.f(out)
-        assert f_out - 1.0 <= 0.5 * -1.0
-        # the kink x + d is not differentiable and costs no evaluation
-        assert len(points) == 2 and all(p[0] != 0.0 for p in points)
+        assert f_out == 2.25 and points == []
 
     def test_fdp2_preserves_violation(self):
         # trial lands on the kink while f(x+d) - f(x) = -0.5 > beta*z = -0.9;
@@ -195,53 +183,69 @@ class TestFdpPerturb:
         o, points = _counting(abs_oracle())
         rng = np.random.default_rng(6)
         x, d = np.array([0.5]), np.array([-0.5])
-        out, f_out = fdp_perturb(o, x, 0.5, d, 0.0, 0.9, -1.0, False, rng)
+        out, f_out = fdp_perturb(o, x, 0.5, d, 0.0, 0.9, -1.0, rng)
         assert out[0] != 0.0
         assert abs(out[0]) < bgs._FDP_SIGMA
         assert f_out == o.f(out)
         assert f_out - 0.5 > 0.9 * -1.0
-        assert len(points) == 2
+        # the kink x + d is not differentiable and costs no evaluation
+        assert len(points) == 2 and all(p[0] != 0.0 for p in points)
 
     def test_tiny_sigma_contract(self, monkeypatch):
         # no trial point is evaluated twice, and none leaves the radius
         monkeypatch.setattr(bgs, "_FDP_SIGMA", 1e-3)
         o, points = _counting(abs_oracle())
         rng = np.random.default_rng(7)
-        out, f_out = fdp_perturb(o, np.array([1.0]), 1.0, np.array([-1.0]), 0.0, 0.5, -1.0,
-                                 True, rng)
-        assert abs(out[0] - 0.0) <= 1e-3
+        out, f_out = fdp_perturb(o, np.array([0.5]), 0.5, np.array([-0.5]), 0.0, 0.9, -1.0,
+                                 rng)
+        evaluated = [p.tobytes() for p in points]
+        assert len(evaluated) == len(set(evaluated)) >= 1
+        assert abs(out[0]) <= 1e-3
         assert f_out == o.f(out) == abs(out[0])
-        assert len(points) == 2
 
-    def test_fdp1_that_finds_no_point_returns_x_plus_d(self):
-        # FDP1 can never hold when beta*z is below -f(x): every draw fails.
-        # The kink x + d and the last draw are never evaluated; x + d comes
-        # back with the value the caller passed
-        o, points = _counting(abs_oracle())
-        rng = np.random.default_rng(8)
-        x, d = np.array([1.0]), np.array([-1.0])
-        with pytest.warns(UserWarning, match="FDP1: no acceptable perturbation"):
-            out, f_out = fdp_perturb(o, x, 1.0, d, 0.0, 0.5, -4.0, True, rng)
+    def test_give_up_returns_x_plus_d(self):
+        # f = -|x| breaks convexity so that every draw near the kink x + d
+        # passes the test, -|u| <= beta*z = -1e-300, and none is accepted.
+        # x + d comes back with the value the caller passed, and the only
+        # `eval_f` calls are those at the 63 draws
+        o, points = _counting(ObjectiveOracle("neg-abs", 1, 0.0, np.zeros(1),
+                                              lambda x: -abs(x[0]), lambda x: -np.sign(x),
+                                              smooth_at=lambda x: x[0] != 0.0))
+        x, d = np.array([0.0]), np.array([0.0])
+        with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
+            out, f_out = fdp_perturb(o, x, 0.0, d, 0.0, 1.0, -1e-300, np.random.default_rng(8))
         np.testing.assert_array_equal(out, x + d)
         assert f_out == 0.0
-        # the calls are those at the differentiable draws the loop tested
         rng = np.random.default_rng(8)
         draws = [sample_ball(x, bgs._FDP_SIGMA * 0.5 ** j, 1, rng)[0] + d
-                 for j in range(bgs._FDP_MAX_HALVINGS)]
-        tested = [p.tobytes() for p in draws[:-1] if o.differentiable_at(p)]
-        assert [p.tobytes() for p in points] == tested
+                 for j in range(bgs._FDP_MAX_TRIALS - 1)]
+        assert [p.tobytes() for p in points] == [p.tobytes() for p in draws]
+
+    def test_give_up_draws_only_the_points_it_tests(self):
+        # x + d and 63 draws are tested, so a give-up leaves the generator
+        # where 63 draws at the radii sigma * 0.5^j leave it
+        o = ObjectiveOracle("abs-nowhere-smooth", 1, 0.0, np.zeros(1), lambda x: abs(x[0]),
+                            np.sign, smooth_at=lambda x: False)
+        x = np.array([1.0])
+        rng = np.random.default_rng(3)
+        with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
+            fdp_perturb(o, x, 1.0, np.array([0.5]), 1.5, 0.5, -1.0, rng)
+        ref = np.random.default_rng(3)
+        for j in range(bgs._FDP_MAX_TRIALS - 1):
+            sample_ball(x, bgs._FDP_SIGMA * 0.5 ** j, 1, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_give_up_keeps_the_step_status(self):
         # nowhere smooth: no draw is accepted or evaluated, and the point
-        # returned must still satisfy f - f_x <= beta*z
+        # returned must still break f - f_x <= beta*z
         o, points = _counting(ObjectiveOracle("abs-nowhere-smooth", 1, 0.0, np.zeros(1),
                                               lambda x: abs(x[0]), np.sign,
                                               smooth_at=lambda x: False))
-        with pytest.warns(UserWarning, match="FDP1: no acceptable perturbation"):
-            out, f_out = fdp_perturb(o, np.array([0.0]), 0.0, np.array([0.0]), 0.0, 1.0, 0.0,
-                                     True, np.random.default_rng(0))
+        with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
+            out, f_out = fdp_perturb(o, np.array([0.0]), 0.0, np.array([0.0]), 0.0, 1.0, -1.0,
+                                     np.random.default_rng(0))
         np.testing.assert_array_equal(out, [0.0])
-        assert f_out == 0.0 and sufficient_decrease(0.0, f_out, 0.0, 1.0)
+        assert f_out == 0.0 and not sufficient_decrease(0.0, f_out, -1.0, 1.0)
         assert points == []
 
     def test_fdp2_give_up_names_fdp2(self):
@@ -249,7 +253,7 @@ class TestFdpPerturb:
                             np.sign, smooth_at=lambda x: False)
         with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
             out, f_out = fdp_perturb(o, np.array([1.0]), 1.0, np.array([0.5]), 1.5, 0.5, -1.0,
-                                     False, np.random.default_rng(0))
+                                     np.random.default_rng(0))
         np.testing.assert_array_equal(out, [1.5])
         assert f_out == 1.5
 

@@ -10,7 +10,7 @@ from helpers import huge_gradient_oracle, quadratic_oracle, steep_oracle
 from bundlegs import bgs, gs, harness
 from bundlegs.bgs import QpFailureError, SolverConfig, StepKind, run
 from bundlegs.harness import ExperimentSpec, perturb_start
-from bundlegs.problems import GradientMode, make_problem
+from bundlegs.problems import EvaluationError, GradientMode, make_problem
 from bundlegs.qp import SimplexQpInstance
 
 
@@ -53,6 +53,24 @@ def test_grad_evals_count_every_gradient_the_oracle_computes():
     res = run(oracle, SolverConfig(seed=0, m=4))
     assert any(calls)
     assert res.grad_evals == len(calls) == res.trace[-1].grad_evals_cum
+
+
+SOLVERS = {"bgs": lambda o: run(o, SolverConfig(seed=0, m=4)),
+           "gs": lambda o: gs.gs_run(o, gs.GsConfig(seed=0, m=4))}
+WRONG_SHAPES = {"scalar": lambda x: 2.0 * float(x.sum()), "short": lambda x: 2.0 * x[:2]}
+
+
+@pytest.mark.parametrize("solve", list(SOLVERS.values()), ids=list(SOLVERS))
+@pytest.mark.parametrize("eval_grad", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES))
+def test_gradient_of_the_wrong_shape_is_refused(solve, eval_grad):
+    # f = ||x||^2 in 3-D: a scalar gradient would broadcast over a whole row
+    # and a short one fail numpy's broadcast; both end at the start point
+    calls = []
+    oracle = replace(quadratic_oracle(3), eval_grad=lambda x: calls.append(1) or eval_grad(x))
+    with pytest.raises(EvaluationError, match=r"sq: gradient of shape \(2?,?\) at x=.*"
+                                              r"expected \(3,\)"):
+        solve(oracle)
+    assert len(calls) == 1
 
 
 def test_differentiability_checks_spend_no_uncounted_gradient():
@@ -229,11 +247,40 @@ def test_deterministic_trace():
 
 
 def test_differentiability_checks_run():
-    # full FDP1/FDP2 loops active; the run must finish and keep descent
+    # FDP moves every null step's auxiliary point; the run must finish and
+    # keep descent
     oracle = make_problem("MAXL-gen", 4)
     cfg = SolverConfig(seed=4, m=8, max_outer=30, differentiability_checks=True)
     res = run(oracle, cfg, stop_callback=lambda rec: rec.f_val <= 1e-5)
     assert res.f <= oracle.f(perturb_start(oracle.x0, 4, np.random.default_rng([4, 1])))
+
+
+def test_differentiability_checks_give_up_nowhere_on_exact_rosen():
+    # the rosen_fd protocol, seed 0, checks on: every null-step point has a
+    # differentiable neighbour that also fails the test, so FDP never gives
+    # up; a give-up's UserWarning would fail this test
+    oracle = make_problem("Rosen")
+    start = perturb_start(oracle.x0, 4, np.random.default_rng([0, 1]))
+    res = run(oracle, SolverConfig(seed=0, m=8, max_outer=300, differentiability_checks=True),
+              start)
+    assert res.stop_reason == "radius_floor"
+    assert harness.relative_error(res.f, oracle.f_star) <= 1e-3
+
+
+def test_differentiability_checks_leave_mxhilb_unmoved():
+    # every null-step point of this run is differentiable already, so FDP
+    # draws nothing and the run is the one with the checks off
+    oracle = make_problem("MXHILB", 10)
+    start = perturb_start(oracle.x0, 10, np.random.default_rng([0, 1]))
+
+    def solve(checks):
+        stop = lambda rec: harness.relative_error(rec.f_val, oracle.f_star) <= 5e-4  # noqa: E731
+        return run(oracle, SolverConfig(seed=0, differentiability_checks=checks), start,
+                   stop_callback=stop)
+
+    off, on = solve(False), solve(True)
+    assert on.grad_evals == off.grad_evals == 170
+    assert on.f.hex() == off.f.hex()
 
 
 def test_forward_difference_mode_runs():
