@@ -59,6 +59,13 @@ _FDP_SIGMA = 1e-8
 # trials of `fdp_perturb`, x + d then draws at halving radii, before it gives up
 _FDP_MAX_TRIALS = 64
 
+# the paper's step parameters, at its practical values
+_MU = 0.5  # radius factor on a null step
+_ALPHA = 0.5  # penalty exponent: the direction is -eps^alpha * g_tilde
+_BETA = 1e-6  # sufficient-decrease fraction of z
+_GAMMA = 0.9  # error ratio of `improvement_criterion`, w ratio of `model_stalled`
+_THETA = 0.9  # multiplier weight kept by `select_indices` on an enrichment
+
 
 class ConvexityError(RuntimeError):
     """A linearization error came out significantly negative."""
@@ -75,21 +82,16 @@ class StepKind(enum.Enum):
 class SolverConfig:
     """The parameters of the solver that a caller sets.
 
-    The defaults are the safe practical values: eps0=1, mu=0.5, alpha=0.5,
-    gamma=0.9, beta=1e-6, theta=0.9.  When `m` is None it resolves to 2n for
-    n <= 20 and ceil(n/10) otherwise.  `differentiability_checks` moves each
-    null step's auxiliary point to a differentiable one (`fdp_perturb`),
-    `collect_diagnostics` turns on the per-record audits;
-    the tolerances `_EPS_TOL`, `_MIN_RADIUS` and `_FDP_SIGMA` are fixed.
+    eps0 is the initial sampling radius.  When `m` is None it resolves to 2n
+    for n <= 20 and ceil(n/10) otherwise.  `differentiability_checks` moves
+    each null step's auxiliary point to a differentiable one (`fdp_perturb`),
+    `collect_diagnostics` turns on the per-record audits.  The step
+    parameters `_MU`, `_ALPHA`, `_BETA`, `_GAMMA`, `_THETA` and the
+    tolerances `_EPS_TOL`, `_MIN_RADIUS` and `_FDP_SIGMA` are fixed.
     """
 
     eps0: float = 1.0
-    mu: float = 0.5
     m: Optional[int] = None
-    beta: float = 1e-6
-    alpha: float = 0.5
-    gamma: float = 0.9
-    theta: float = 0.9
     seed: int = 0
     max_outer: int = 1000
     differentiability_checks: bool = False
@@ -99,23 +101,8 @@ class SolverConfig:
         require_integers(m=self.m, seed=self.seed, max_outer=self.max_outer)
         if not 0.0 < self.eps0 < math.inf:
             raise ValueError("eps0 must be positive and finite")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must be in (0, 1)")
         if self.m is not None and self.m < 0:
             raise ValueError("m must be nonnegative")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        try:
-            # the radius never grows, so every eps^alpha is finite
-            self.eps0 ** self.alpha
-        except OverflowError:
-            raise ValueError(f"eps0 ** alpha overflows ({self.eps0} ** {self.alpha})") from None
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.max_outer < 1:
@@ -485,7 +472,7 @@ def run(
     mode = grad_mode or GradientMode.exact()
     checks = config.differentiability_checks
     x = np.array(x0 if x0 is not None else oracle.x0, dtype=float)
-    if x.size != oracle.dimension or not np.all(np.isfinite(x)):
+    if x.shape != (oracle.dimension,) or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite vector of the oracle's dimension")
     n = oracle.dimension
     m = config.resolve_m(n)
@@ -505,7 +492,7 @@ def run(
             diag = StepDiagnostics(
                 x_k=x.copy(), f_xk=f_x, g_tilde=agg[:-1].copy(),
                 e_tilde=agg[-1], d=step.direction.copy(), z=step.z,
-                eps_alpha=eps ** config.alpha, grad_xk=grad_xk.copy(),
+                eps_alpha=eps ** _ALPHA, grad_xk=grad_xk.copy(),
             )
             if kind is StepKind.INNER_ENRICH:
                 diag.new_atom_grad, diag.new_atom_err = g_new.copy(), e_new
@@ -527,10 +514,8 @@ def run(
         if eps < _MIN_RADIUS:
             stop_reason = "radius_floor"
             break
-        try:
-            scale = eps ** (-config.alpha)
-        except OverflowError:
-            raise QpFailureError(f"eps^-alpha overflows at k={k}, eps={eps:.3e}") from None
+        # eps >= _MIN_RADIUS here, so eps^-alpha is at most 1e6
+        scale = eps ** -_ALPHA
 
         # rows [g_j, e_j] of the model and their multipliers; row 0 is x_k's
         rows, spent = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode)
@@ -541,7 +526,7 @@ def run(
         # the initial aggregate row is the QP's own lam @ G: the row-by-row
         # sum of `aggregate` rounds differently and moves the gradient counts
         agg = np.append(sol.g_tilde, max(sol.e_tilde, 0.0))
-        step = direction_from_dual(agg, eps, config.alpha)
+        step = direction_from_dual(agg, eps, _ALPHA)
         w_history = [step.w]
 
         # model_stalled ends chains long before the guard inner_cap does
@@ -554,12 +539,12 @@ def run(
             trial = x + step.direction
             f_trial = oracle.f(trial)
             f_gap = abs(f_trial - f_x)
-            if sufficient_decrease(f_x, f_trial, step.z, config.beta):
+            if sufficient_decrease(f_x, f_trial, step.z, _BETA):
                 if i == 0:
                     # the initial model's step length was never tested
                     # against f: stretch it while f keeps falling
                     t, f_trial = extrapolate(oracle, x, step.direction, f_x,
-                                             f_trial, step.z, config.beta)
+                                             f_trial, step.z, _BETA)
                     if t > 1.0:
                         trial = x + t * step.direction
                 # serious step: radius unchanged
@@ -571,22 +556,22 @@ def run(
             if checks:
                 # a differentiable point nearby that also fails the test
                 trial, f_trial = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
-                                             config.beta, step.z, rng)
+                                             _BETA, step.z, rng)
             g_new = gradient(oracle, mode, trial, f_x=f_trial)
             g_evals += 1
             e_new = linearization_error(f_x, f_trial, g_new, x, trial, mode.strict)
 
-            if (model_stalled(w_history, m + 1, config.gamma)
-                    or not improvement_criterion(e_new, agg[-1], f_gap, step.v, config.gamma)):
+            if (model_stalled(w_history, m + 1, _GAMMA)
+                    or not improvement_criterion(e_new, agg[-1], f_gap, step.v, _GAMMA)):
                 # null step: the model stopped improving or the new cut is
                 # useless; shrink the sampling region, keep the iterate
                 emit(StepKind.NULL_STEP, f_x)
-                eps = config.mu * eps
+                eps = _MU * eps
                 break
 
             # kept rows (row 0 first), the new cut, the prior aggregate; the
             # warm start puts the weight the kept rows do not carry on the last
-            keep = select_indices(lam, config.theta, forced=(0,))
+            keep = select_indices(lam, _THETA, forced=(0,))
             q = len(keep)
             model = np.empty((q + 2, n + 1))
             rows.take(keep, axis=0, out=model[:q])
@@ -600,7 +585,7 @@ def run(
             # an enrichment's aggregate is the row-by-row sum: the QP's own
             # lam @ G rounds differently and moves the gradient counts
             agg = aggregate(sol.lam, model)
-            step = direction_from_dual(agg, eps, config.alpha)
+            step = direction_from_dual(agg, eps, _ALPHA)
             w_history.append(step.w)
             rows, lam = model[:-1], sol.lam[:-1]
             emit(StepKind.INNER_ENRICH, f_x)

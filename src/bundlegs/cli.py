@@ -12,7 +12,7 @@ from .harness import ExperimentSpec, load_config_file, run_experiment
 from .problems import catalog
 
 # forwarded for either solver; the spec refuses those the solver has no use for
-_SOLVER_KEYS = ("m", "eps0", "mu", "alpha", "gamma", "beta", "theta")
+_SOLVER_KEYS = ("m", "eps0")
 # the ExperimentSpec field of each other key, where its name differs
 _SPEC_FIELDS = {"reps": "replications", "seed": "seed_base", "tol": "stop_rel_err",
                 "out": "output", "fd": "fd_step", "trace": "trace_path"}
@@ -37,12 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help=f"base RNG seed (default {_DEFAULT['seed_base']})")
     p.add_argument("--tol", type=float, help="relative-error stopping tolerance")
     p.add_argument("--m", type=int, help="sample size per outer iteration")
-    p.add_argument("--eps0", type=float, help="initial sampling radius")
-    p.add_argument("--mu", type=float, help="radius reduction factor")
-    p.add_argument("--alpha", type=float, help="penalty exponent")
-    p.add_argument("--gamma", type=float, help="linearization-error scale")
-    p.add_argument("--beta", type=float, help="sufficient-decrease parameter")
-    p.add_argument("--theta", type=float, help="maximum multiplier weight kept")
+    p.add_argument("--eps0", type=float, help="initial sampling radius (bgs only)")
     p.add_argument("--fd", type=float, metavar="H",
                    help="use forward-difference gradients with step H")
     p.add_argument("--out", help="output path for the per-run report")

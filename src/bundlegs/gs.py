@@ -7,9 +7,9 @@ the sampled gradients (Wolfe's nearest-point problem, solved by
 QpFailureError), and runs an Armijo backtracking line search along the
 normalized steepest-descent direction.  The radius shrinks when the hull
 point is nearly zero or the line search fails.  Used as the
-gradient-evaluation-count comparison baseline; its radius shrink factor,
-line-search constants, stationarity tolerance and radius floor are
-conventional choices, fixed as module constants.
+gradient-evaluation-count comparison baseline; its start radius, radius
+shrink factor, line-search constants, stationarity tolerance and radius floor
+are conventional choices, fixed as module constants.
 
 The gradient at x_k and the sampled block, evaluated by one
 `problems.sample_rows` call in either gradient mode, go into one
@@ -20,7 +20,6 @@ gradients none.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,6 +33,7 @@ from .problems import (EvaluationError, GradientMode, ObjectiveOracle, gradient,
 from .qp import QpFailureError, SimplexQpInstance, min_norm_point, solve_simplex_qp  # noqa: F401
 from .sampling import sample_ball
 
+_EPS0 = 1.0  # start radius
 _EPS_SHRINK = 0.1  # radius factor on a shrink
 _ARMIJO_BETA = 1e-4  # sufficient-decrease fraction
 _ARMIJO_GAMMA = 0.5  # backtracking factor
@@ -44,10 +44,9 @@ _MIN_RADIUS = 1e-12
 
 @dataclass
 class GsConfig:
-    """Baseline parameters; m=None resolves to 2n."""
+    """Baseline parameters; m=None resolves to 2n.  The start radius is `_EPS0`."""
 
     m: Optional[int] = None
-    eps0: float = 1.0
     seed: int = 0
     max_iters: int = 1000
 
@@ -55,8 +54,6 @@ class GsConfig:
         require_integers(m=self.m, seed=self.seed, max_iters=self.max_iters)
         if self.m is not None and self.m < 1:
             raise ValueError("m must be positive")
-        if not 0.0 < self.eps0 < math.inf:
-            raise ValueError("eps0 must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.max_iters < 1:
@@ -87,12 +84,12 @@ def gs_run(
     """Run the baseline; gradient evaluations are m + 1 per iteration."""
     mode = grad_mode or GradientMode.exact()
     x = np.array(x0 if x0 is not None else oracle.x0, dtype=float)
-    if x.size != oracle.dimension or not np.all(np.isfinite(x)):
+    if x.shape != (oracle.dimension,) or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite vector of the oracle's dimension")
     n = oracle.dimension
     m = config.resolve_m(n)
     rng = np.random.default_rng(config.seed)
-    eps = float(config.eps0)
+    eps = _EPS0
     f_x = oracle.f(x)
     g_evals = 0
     trace: list[GsTraceRecord] = []

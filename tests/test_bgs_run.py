@@ -323,21 +323,16 @@ def test_overflowing_linearization_error_aborts_the_run(seed):
                                   "a linearization error overflows")
 
 
-def test_overflowing_penalty_scale_raises_qp_failure():
-    # eps^-alpha = 1e360 at the first radius
-    with pytest.raises(QpFailureError, match=r"eps\^-alpha overflows at k=0"):
-        run(make_problem("ChainedLQ", 10), SolverConfig(alpha=40.0, eps0=1e-9))
-    # eps0^alpha = 1e310: every later radius is smaller, so only eps0 is checked
-    with pytest.raises(ValueError, match=r"eps0 \*\* alpha overflows"):
-        SolverConfig(alpha=31.0, eps0=1e10)
-
-
 def test_bad_x0_rejected():
     oracle = quadratic_oracle(2)
     with pytest.raises(ValueError):
         run(oracle, SolverConfig(), x0=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         run(oracle, SolverConfig(), x0=np.ones(3))
+    # the right size in the wrong shape is refused before the oracle sees it
+    for name in ("ChainedLQ", "Rosen", "MXHILB"):
+        with pytest.raises(ValueError, match="x0 must be a finite vector"):
+            run(make_problem(name, 4), SolverConfig(), x0=np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +504,9 @@ def test_long_model_trajectory_pinned(monkeypatch, name, n, m, grad_evals, f_hex
         return inst
 
     monkeypatch.setattr(bgs, "SimplexQpInstance", instance)
+    monkeypatch.setattr(bgs, "_THETA", 1.0)
     oracle = make_problem(name, n)
-    res = run(oracle, SolverConfig(seed=1, m=m, theta=1.0, max_outer=40))
+    res = run(oracle, SolverConfig(seed=1, m=m, max_outer=40))
     assert max(atoms) > 2 * m + 6
     assert (res.grad_evals, res.f.hex()) == (grad_evals, f_hex)
 

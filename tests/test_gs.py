@@ -110,8 +110,6 @@ def test_callback_and_determinism():
 def test_config_validation():
     with pytest.raises(ValueError, match="m must be positive"):
         GsConfig(m=0)
-    with pytest.raises(ValueError, match="eps0 must be positive and finite"):
-        GsConfig(eps0=float("inf"))
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         GsConfig(seed=-1)
     with pytest.raises(ValueError, match="max_iters must be at least 1"):
@@ -130,6 +128,9 @@ def test_bad_x0_rejected():
     for x0 in (np.array([1.0, np.nan]), np.array([1.0, np.inf]), np.ones(3)):
         with pytest.raises(ValueError, match="x0 must be a finite vector"):
             gs_run(oracle, GsConfig(), x0=x0)
+    # the right size in the wrong shape is refused before the oracle sees it
+    with pytest.raises(ValueError, match="x0 must be a finite vector"):
+        gs_run(make_problem("ChainedLQ", 4), GsConfig(), x0=np.ones((2, 2)))
 
 
 # G G' overflows; the QP raises before LAPACK sees it
