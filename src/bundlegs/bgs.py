@@ -11,7 +11,8 @@ or gives up and shrinks the sampling radius (a null step).
 Every cut is one row [g_j | e_j]: a gradient and its linearization error at
 x_k.  The model is an array of such rows, and the aggregate and the new cut
 of an enrichment are rows of the same form.  Row 0 holds the gradient at x_k
-itself (error 0) and stays first; the m sampled points get their values and
+itself (error 0) and stays first; a null step leaves x_k where it is, so the
+next model takes row 0 as it was.  The m sampled points get their values and
 gradients from one `problems.sample_rows` call in either gradient mode, and
 their errors are taken at once (see `build_initial_model`).  An enrichment
 keeps the rows whose multipliers carry the weight theta (`select_indices`),
@@ -21,10 +22,13 @@ enrichment's is the row-by-row sum of `aggregate`.  Near-duplicate rows make
 round-off decide how lam splits among them, so each aggregate keeps its own
 summation order: either order used for both moves the gradient counts.
 
-The improvement process gives up when the new linearization fails the
-improvement criterion, or when the model has stopped paying for its
-enrichments: the dual value w fell by less than the factor gamma over the
-last m + 1 of them (see `model_stalled`).  A serious step found by the
+The improvement process gives up, with a null step, on one of three causes,
+in this order: the trial point x_k + d is one the chain has tried already
+(a revisit, which costs no oracle call); the model has stopped paying for
+its enrichments, the dual value w having fallen by less than the factor
+gamma over the last m + 1 of them (a stall, see `model_stalled`, which
+costs no cut); or the new linearization fails the improvement criterion.
+No point's gradient is evaluated twice.  A serious step found by the
 initial sampled model is stretched by doubling while f keeps falling (see
 `extrapolate`); a step found after enrichment is taken as it is.  The step,
 its stretch and FDP, which moves only a null step's auxiliary point (see
@@ -237,10 +241,13 @@ def build_initial_model(
     rng: np.random.Generator,
     f_xk: float | None = None,
     mode: GradientMode | None = None,
+    g_xk: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Rows [g_j, e_j]: row 0 at x_k (error 0) plus m sampled rows, and the gradients spent.
 
-    `f_xk`, f at x_k, is also the base of row 0's forward differences.  The
+    `f_xk`, f at x_k, is also the base of row 0's forward differences.
+    `g_xk`, when given, is the gradient at x_k that the caller already holds
+    (`run` keeps it across a null step); row 0 then costs no gradient.  The
     m sampled points are evaluated by one `sample_rows` call, which also
     gives their values, in either gradient mode.  A point whose gradient or
     objective value is not finite is replaced by one fresh draw from the
@@ -248,15 +255,18 @@ def build_initial_model(
     a second failure raises EvaluationError.  The m errors are then taken at
     once.  The rows and the draws from `rng` are those of a loop that takes
     the points one at a time, and an error raised is the one that loop
-    raises first.  Every evaluated point costs one gradient: m + 1 plus one
-    per replaced point.
+    raises first.  Every evaluated point costs one gradient: m, plus one for
+    row 0 unless `g_xk` is given, plus one per replaced point.
     """
     mode = mode or GradientMode.exact()
     x_k = np.asarray(x_k, dtype=float)
     if f_xk is None:
         f_xk = oracle.f(x_k)
     rows = np.zeros((m + 1, x_k.size + 1))
-    rows[0, :-1] = gradient(oracle, mode, x_k, f_x=f_xk)
+    spent = m
+    if g_xk is None:
+        g_xk, spent = gradient(oracle, mode, x_k, f_x=f_xk), m + 1
+    rows[0, :-1] = g_xk
     G, F = rows[1:, :-1], np.empty(m)
     points = sample_ball(x_k, eps_k, m, rng)
     bad = sample_rows(oracle, mode, points, G, F)
@@ -270,7 +280,7 @@ def build_initial_model(
             raise EvaluationError(f"{oracle.name}: non-finite {what} at x={s[0]!r}")
         points[j] = s[0]
     rows[1:, -1] = _linearization_errors(f_xk, F, G, x_k, points, mode.strict)
-    return rows, m + 1 + len(bad)
+    return rows, spent + len(bad)
 
 
 def direction_from_dual(agg: np.ndarray, eps_k: float, alpha: float) -> StepOutcome:
@@ -457,12 +467,17 @@ def run(
     Stops when the stationarity measure v falls to `_EPS_TOL`, the outer
     budget runs out, the sampling radius drops below `_MIN_RADIUS`, or
     `stop_callback` (called with every emitted trace record) returns True.
-    Every gradient evaluation is counted in the trace.
+    Every gradient the oracle computes is counted in the trace, and none is
+    computed twice at one point: a null step keeps x_k's gradient for the
+    next model's row 0.
 
     An inner improvement loop ends on a serious step or on a null step.  The
-    null step comes when the new linearization fails `improvement_criterion`
-    or when `model_stalled` finds that w fell by less than the factor gamma
-    over the last m + 1 enrichments.  A serious step taken from the initial
+    null step has three causes, tested in this order: the trial point x_k + d
+    repeats one of the chain's earlier trial points (tested before any oracle
+    call); `model_stalled` finds that w fell by less than the factor gamma
+    over the last m + 1 enrichments (tested after f(x_k + d) rules out a
+    serious step, before the cut's gradient); the new linearization fails
+    `improvement_criterion`.  A serious step taken from the initial
     model (inner index 0) is stretched by `extrapolate`.  A cap of
     `_INNER_LIMIT_FACTOR` * (m + 1) enrichments per outer iteration only
     guards against a hang.  It is reported by the stop reason "inner_limit"
@@ -505,7 +520,8 @@ def run(
         if stop_callback is not None and stop_callback(rec) and stop_reason is None:
             stop_reason = "callback"
 
-    f_x = oracle.f(x)
+    # g_x: the gradient at x that a null step hands to the next model's row 0
+    f_x, g_x = oracle.f(x), None
     k = 0
     while stop_reason is None:
         if k >= config.max_outer:
@@ -518,9 +534,10 @@ def run(
         scale = eps ** -_ALPHA
 
         # rows [g_j, e_j] of the model and their multipliers; row 0 is x_k's
-        rows, spent = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode)
+        rows, spent = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode,
+                                          g_xk=g_x)
         g_evals += spent
-        grad_xk = rows[0, :-1]
+        grad_xk, g_x = rows[0, :-1], None
         sol = _solve_model(rows, scale, None, f"initial subproblem at k={k}")
         lam = sol.lam
         # the initial aggregate row is the QP's own lam @ G: the row-by-row
@@ -528,6 +545,7 @@ def run(
         agg = np.append(sol.g_tilde, max(sol.e_tilde, 0.0))
         step = direction_from_dual(agg, eps, _ALPHA)
         w_history = [step.w]
+        tried = set()  # the bytes of this chain's trial points x_k + d
 
         # model_stalled ends chains long before the guard inner_cap does
         for i in range(inner_cap + 1):
@@ -536,37 +554,43 @@ def run(
                 emit(StepKind.CONVERGED, f_x)
                 break
 
+            # a null step ends the chain at a trial point it has tried
+            # already, at no oracle call; on a stalled model, at no gradient;
+            # else when the new cut fails the improvement criterion
             trial = x + step.direction
-            f_trial = oracle.f(trial)
-            f_gap = abs(f_trial - f_x)
-            if sufficient_decrease(f_x, f_trial, step.z, _BETA):
-                if i == 0:
-                    # the initial model's step length was never tested
-                    # against f: stretch it while f keeps falling
-                    t, f_trial = extrapolate(oracle, x, step.direction, f_x,
-                                             f_trial, step.z, _BETA)
-                    if t > 1.0:
-                        trial = x + t * step.direction
-                # serious step: radius unchanged
-                emit(StepKind.SERIOUS_STEP, f_trial)
-                x, f_x = trial, f_trial
-                break
-
-            # improvement process: new auxiliary point and linearization
-            if checks:
-                # a differentiable point nearby that also fails the test
-                trial, f_trial = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
-                                             _BETA, step.z, rng)
-            g_new = gradient(oracle, mode, trial, f_x=f_trial)
-            g_evals += 1
-            e_new = linearization_error(f_x, f_trial, g_new, x, trial, mode.strict)
-
-            if (model_stalled(w_history, m + 1, _GAMMA)
-                    or not improvement_criterion(e_new, agg[-1], f_gap, step.v, _GAMMA)):
-                # null step: the model stopped improving or the new cut is
-                # useless; shrink the sampling region, keep the iterate
+            key = trial.tobytes()
+            null = key in tried
+            if not null:
+                tried.add(key)
+                f_trial = oracle.f(trial)
+                f_gap = abs(f_trial - f_x)
+                if sufficient_decrease(f_x, f_trial, step.z, _BETA):
+                    if i == 0:
+                        # the initial model's step length was never tested
+                        # against f: stretch it while f keeps falling
+                        t, f_trial = extrapolate(oracle, x, step.direction, f_x,
+                                                 f_trial, step.z, _BETA)
+                        if t > 1.0:
+                            trial = x + t * step.direction
+                    # serious step: radius unchanged
+                    emit(StepKind.SERIOUS_STEP, f_trial)
+                    x, f_x = trial, f_trial
+                    break
+                null = model_stalled(w_history, m + 1, _GAMMA)
+            if not null:
+                # improvement process: new auxiliary point and linearization
+                if checks:
+                    # a differentiable point nearby that also fails the test
+                    trial, f_trial = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
+                                                 _BETA, step.z, rng)
+                g_new = gradient(oracle, mode, trial, f_x=f_trial)
+                g_evals += 1
+                e_new = linearization_error(f_x, f_trial, g_new, x, trial, mode.strict)
+                null = not improvement_criterion(e_new, agg[-1], f_gap, step.v, _GAMMA)
+            if null:
+                # shrink the sampling region, keep the iterate and its gradient
                 emit(StepKind.NULL_STEP, f_x)
-                eps = _MU * eps
+                eps, g_x = _MU * eps, grad_xk
                 break
 
             # kept rows (row 0 first), the new cut, the prior aggregate; the

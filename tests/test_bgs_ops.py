@@ -599,6 +599,25 @@ def test_initial_model_makes_one_block_call_per_model_in_either_mode(monkeypatch
     assert redrawn
 
 
+def test_initial_model_takes_a_held_row_0_at_no_cost():
+    # the gradient at x_k that a null step keeps: the same rows, m gradients,
+    # and no oracle call at x_k in either mode
+    oracle, n, m = make_problem("ChainedLQ", 10), 10, 7
+    x, f_x = oracle.x0, oracle.f(oracle.x0)
+    for mode in (GradientMode.exact(), GradientMode.forward(1e-8)):
+        fresh, spent = build_initial_model(oracle, x, 0.5, m, np.random.default_rng(0),
+                                           f_xk=f_x, mode=mode)
+        assert spent == m + 1
+        points = []
+        probe = replace(oracle, eval_f=lambda y: points.append(y.tobytes()) or oracle.eval_f(y),
+                        eval_grad=lambda y: points.append(y.tobytes()) or oracle.eval_grad(y))
+        kept, spent = build_initial_model(probe, x, 0.5, m, np.random.default_rng(0),
+                                          f_xk=f_x, mode=mode, g_xk=fresh[0, :-1].copy())
+        assert kept.tobytes() == fresh.tobytes() and spent == m
+        assert x.tobytes() not in points
+        assert len(points) == (2 * m if mode.kind == "exact" else m * (n + 1))
+
+
 # ---------------------------------------------------------------------------
 # the resampling rule of the initial model
 # ---------------------------------------------------------------------------

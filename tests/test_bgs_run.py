@@ -30,14 +30,77 @@ def test_smooth_quadratic_smoke():
     assert res.outer_iters <= 100
 
 
-def test_grad_eval_accounting():
-    res = traced_run(make_problem("ChainedLQ", 10), seed=2, m=6, max_outer=30)
-    m = 6
-    outers = res.trace[-1].k + 1
-    inner_extra = sum(1 for r in res.trace
-                      if r.kind in (StepKind.INNER_ENRICH, StepKind.NULL_STEP))
-    assert res.grad_evals == outers * (m + 1) + inner_extra
-    assert res.grad_evals == res.trace[-1].grad_evals_cum
+def test_grad_eval_accounting(monkeypatch):
+    # m per outer iteration, one per row 0 evaluated afresh (at x0 and after
+    # a serious step: a null step keeps x_k's), one per enrichment, and one
+    # per null step taken on the improvement criterion (a revisit or a stall
+    # costs no cut).  ChainedLQ takes every null step on the criterion, Rosen
+    # most of them on a revisit or a stall.
+    refused, real = [], bgs.improvement_criterion
+
+    def criterion(*args):
+        refused.append(not real(*args))
+        return not refused[-1]
+
+    monkeypatch.setattr(bgs, "improvement_criterion", criterion)
+    for name, n, seed, m, max_outer in (("ChainedLQ", 10, 2, 6, 30), ("Rosen", None, 0, 8, 300)):
+        refused.clear()
+        res = traced_run(make_problem(name, n), seed=seed, m=m, max_outer=max_outer)
+        outers = res.trace[-1].k + 1
+        ends = {r.k: r.kind for r in res.trace}  # the record that ends each outer iteration
+        fresh = 1 + sum(ends[k] is StepKind.SERIOUS_STEP for k in range(outers - 1))
+        enrich = sum(r.kind is StepKind.INNER_ENRICH for r in res.trace)
+        nulls = sum(r.kind is StepKind.NULL_STEP for r in res.trace)
+        assert fresh < outers and 0 < sum(refused) <= nulls
+        assert res.grad_evals == outers * m + fresh + enrich + sum(refused)
+        assert res.grad_evals == res.trace[-1].grad_evals_cum
+
+
+def _recording(oracle):
+    """The oracle with the bytes of every eval_f and eval_grad point recorded."""
+    f_points, g_points = [], []
+    probe = replace(oracle, eval_f=lambda x: f_points.append(x.tobytes()) or oracle.eval_f(x),
+                    eval_grad=lambda x: g_points.append(x.tobytes()) or oracle.eval_grad(x))
+    return probe, f_points, g_points
+
+
+def _rosen_fd_start(seed):
+    oracle = make_problem("Rosen")
+    return perturb_start(oracle.x0, 4, np.random.default_rng([seed, 1]))
+
+
+def test_no_point_gets_its_gradient_twice():
+    # row 0 is kept across a null step, a stalled model spends no cut and a
+    # revisited trial point no call: the exact rosen_fd solves, and ChainedLQ
+    cases = [("Rosen", None, _rosen_fd_start(s), SolverConfig(seed=s, m=8, max_outer=300))
+             for s in range(5)]
+    cases.append(("ChainedLQ", 10, None, SolverConfig(seed=2, m=6, max_outer=30)))
+    for name, n, start, config in cases:
+        oracle, _, g_points = _recording(make_problem(name, n))
+        res = run(oracle, config, start)
+        assert len(g_points) == len(set(g_points)) == res.grad_evals
+
+
+def test_a_revisited_trial_point_ends_the_chain_at_no_oracle_call():
+    # seed 0 of the exact rosen_fd solves: some inner chains come back to a
+    # trial point x_k + d they have tried; the null step follows the record
+    # that set d with no objective or gradient call in between
+    oracle, f_points, g_points = _recording(make_problem("Rosen"))
+    calls = []  # (objective calls, gradient calls) when each record is emitted
+    res = run(oracle, SolverConfig(seed=0, m=8, max_outer=300, collect_diagnostics=True),
+              _rosen_fd_start(0),
+              stop_callback=lambda rec: calls.append((len(f_points), len(g_points))))
+    revisits, chain_start = 0, 0  # f_points index where the current chain began
+    for j, rec in enumerate(res.trace):
+        # a trial point evaluated before the record that set d is a revisit
+        if rec.kind is StepKind.NULL_STEP and rec.i > 0:
+            trial = (rec.diag.x_k + rec.diag.d).tobytes()
+            if trial in f_points[chain_start:calls[j - 1][0]]:
+                revisits += 1
+                assert calls[j] == calls[j - 1]
+        if rec.kind is not StepKind.INNER_ENRICH:
+            chain_start = calls[j][0]
+    assert revisits > 0
 
 
 def test_grad_evals_count_every_gradient_the_oracle_computes():
@@ -211,7 +274,7 @@ def test_inner_limit_is_a_stop_reason_not_a_warning(monkeypatch):
         res = run(make_problem("ChainedLQ", 10), SolverConfig(seed=2, m=6, max_outer=30))
     assert res.stop_reason == "inner_limit"
     assert res.trace[-1].kind is StepKind.INNER_ENRICH
-    assert (res.outer_iters, res.grad_evals) == (3, 23)
+    assert (res.outer_iters, res.grad_evals) == (3, 22)
 
 
 # from x0 the records run serious, null, enrich: each case stops on the
@@ -343,20 +406,20 @@ def test_bad_x0_rejected():
 
 # seed 0 of the n=50 battery: m=5, stop at relative error 5e-4
 BATTERY_PINS = [
-    ("TiltedNorm", 106, "0x1.821ec241463bep-45"),
-    ("MXHILB", 583, "0x1.06172c9a10698p-11"),
-    ("ChainedLQ", 377, "-0x1.1510609e4716fp+6"),
-    ("ChainedCB3I", 853, "0x1.883106dd74d7cp+6"),
-    ("ChainedCB3II", 159, "0x1.8815dac71651cp+6"),
+    ("TiltedNorm", 103, "0x1.821ec241463bep-45"),
+    ("MXHILB", 567, "0x1.06172c9a10698p-11"),
+    ("ChainedLQ", 369, "-0x1.1510609e4716fp+6"),
+    ("ChainedCB3I", 835, "0x1.883106dd74d7cp+6"),
+    ("ChainedCB3II", 147, "0x1.8815dac71651cp+6"),
     ("MAXQ-gen", 910, "0x1.04681f69cb87bp-11"),
-    ("MAXL-gen", 1149, "0x1.6df82d4d87b6fp-48"),
-    ("PartlySmooth", 177, "0x1.6cd6cd51fa58dp-16"),
+    ("MAXL-gen", 1142, "0x1.6df82d4d87b6fp-48"),
+    ("PartlySmooth", 172, "0x1.6cd6cd51fa58dp-16"),
 ]
 
 # Rosen, m=8, 300 outer iterations, seed 0, to the solver's own stop
 ROSEN_PINS = [
-    (GradientMode.exact(), 2101, "-0x1.5ffffffffff87p+5"),
-    (GradientMode.forward(1e-9), 1934, "-0x1.5ffffffffed53p+5"),
+    (GradientMode.exact(), 1984, "-0x1.5ffffffffff87p+5"),
+    (GradientMode.forward(1e-9), 1797, "-0x1.5ffffffffed53p+5"),
 ]
 
 
@@ -387,7 +450,7 @@ def test_rosen_solves_account_for_their_oracle_calls(seed):
     # inputs: a difference gradient needs at least n values besides its base,
     # and every gradient the solver counts costs at least one base, so a
     # forward solve makes at least (n + 1) f calls per counted gradient; its
-    # slack over that bound is under 100 calls on these seeds
+    # slack over that bound is 70 to 147 calls on these seeds
     oracle = make_problem("Rosen")
     start = perturb_start(oracle.x0, 4, np.random.default_rng([seed, 1]))
     for mode in (GradientMode.exact(), GradientMode.forward(1e-9)):
@@ -412,22 +475,25 @@ def test_rosen_solves_account_for_their_oracle_calls(seed):
 # from the literature start at n=10, seed = the problem's index: bgs with
 # forward differences (h=1e-8), m=5 and 60 outer iterations; GS in both
 # modes with its default 2n samples and 20 iterations.  The objective-value
-# counts are pinned too: each sample of a bgs initial model spends the n + 1
-# values of its differences, the first of which is its value; GS asks for
-# no sample value, so exact GS spends values on its line search only.  The
-# tables hold the counts from before the differences at x_k and at a cut took
-# the solver's value there as their base; each such gradient now spends one
-# value fewer: every gradient of a bgs run but the m samples per outer
-# iteration, and row 0 of every GS iteration.
+# counts are pinned too.  In a bgs run each sample of an initial model spends
+# the n + 1 values of its differences, the first of which is its value; row
+# 0 and each cut spend n, since their differences take the value the solver
+# holds as their base; each trial point and each stretch of a serious step
+# spend one.  A row 0 kept across a null step, a skipped cut and a revisited
+# trial point spend none.
+# GS asks for no sample value, so exact GS spends values on its line search
+# only.  The GS table holds the counts from before row 0's differences took
+# the solver's value as their base, and each GS iteration now spends one
+# value fewer.
 FD_BGS_PINS = [  # problem, grad_evals, f, eval_f calls
-    (1, 758, "0x1.c4b9bba7a9c4cp-26", 8763),
-    (2, 647, "0x1.8451813e39240p-13", 7470),
-    (3, 827, "-0x1.974af10ad3d2ap+3", 9607),
-    (4, 1138, "0x1.2006f515d24bfp+4", 13339),
-    (5, 595, "0x1.20000001bd604p+4", 6840),
-    (6, 484, "0x1.4888947961591p-68", 5545),
-    (7, 867, "0x1.6e8b67b025be4p-30", 10102),
-    (8, 709, "0x1.04e063e76a9fcp-23", 8186),
+    (1, 707, "0x1.c4b9bba7a9c4cp-26", 7795),
+    (2, 564, "0x1.8451813e39240p-13", 6256),
+    (3, 798, "-0x1.974af10ad3d2ap+3", 8790),
+    (4, 1112, "0x1.2006f515d24bfp+4", 12241),
+    (5, 544, "0x1.20000001bd604p+4", 6025),
+    (6, 316, "0x1.4888947961591p-68", 3492),
+    (7, 731, "0x1.6e8b67b025be4p-30", 8063),
+    (8, 660, "0x1.04e063e76a9fcp-23", 7281),
 ]
 GS_PINS = [  # mode, problem, grad_evals, f, eval_f calls
     ("exact", 1, 420, "0x1.f3010c5212764p-8", 82),
@@ -452,8 +518,7 @@ def test_forward_difference_trajectory_pinned(problem, grad_evals, f_hex, f_call
     oracle, calls = _counted_f(make_problem(str(problem), 10))
     res = run(oracle, SolverConfig(seed=problem, m=5, max_outer=60),
               grad_mode=GradientMode.forward(1e-8))
-    saved = grad_evals - 5 * res.outer_iters
-    assert (res.grad_evals, res.f.hex(), len(calls)) == (grad_evals, f_hex, f_calls - saved)
+    assert (res.grad_evals, res.f.hex(), len(calls)) == (grad_evals, f_hex, f_calls)
 
 
 @pytest.mark.parametrize("kind,problem,grad_evals,f_hex,f_calls", GS_PINS,
@@ -469,8 +534,8 @@ def test_gs_trajectory_pinned(kind, problem, grad_evals, f_hex, f_calls):
 # seed 0 of two bgs_large solves: n=500, default m=50, stop at relative
 # error 5e-3
 LARGE_PINS = [
-    ("MXHILB", 3502, "0x1.3f87570aa46f8p-8"),
-    ("ChainedCB3I", 4405, "0x1.f56c74c0d097dp+9"),
+    ("MXHILB", 3493, "0x1.3f87570aa46f8p-8"),
+    ("ChainedCB3I", 4392, "0x1.f56c74c0d097dp+9"),
 ]
 
 
@@ -488,8 +553,8 @@ def test_large_trajectory_pinned(name, grad_evals, f_hex):
 # theta=1 keeps every row, so the enrichment models grow past 2m + 6 rows,
 # far beyond the m + 3 of a first enrichment
 GROWTH_PINS = [
-    ("ChainedLQ", 10, 1, 354, "-0x1.974b01e0420e4p+3"),
-    ("Rosen", None, 0, 247, "-0x1.5fffffffb1dafp+5"),
+    ("ChainedLQ", 10, 1, 333, "-0x1.974b01e0420e4p+3"),
+    ("Rosen", None, 0, 238, "-0x1.5fffffffb1dafp+5"),
 ]
 
 

@@ -324,15 +324,15 @@ class TestCli:
         ["--solver", "bgs", "--problem", "QL", "--n", "5"],
         ["--solver", "gs", "--problem", "QL", "--m", "0"],
         ["--solver", "gs", "--problem", "ChainedLQ", "--n", "8", "--eps0", "0.5"],
+        # gs takes no eps0 at all, so only bgs reaches the finite-eps0 check
+        ["--solver", "bgs", "--problem", "ChainedLQ", "--n", "4", "--eps0", "inf"],
         *(["--solver", solver, "--problem", "ChainedLQ", "--n", "4", *bad]
           for solver in ("bgs", "gs")
-          for bad in (["--seed", "-1"], ["--eps0", "inf"], ["--fd", "inf"],
-                      ["--tol", "inf"], ["--tol", "nan"])),
+          for bad in (["--seed", "-1"], ["--fd", "inf"], ["--tol", "inf"], ["--tol", "nan"])),
     ], ids=["unknown-problem", "fixed-dimension", "zero-sample-size",
-            "gs-takes-no-eps0",
+            "gs-takes-no-eps0", "bgs-infinite-eps0",
             *(f"{solver}-{bad}" for solver in ("bgs", "gs")
-              for bad in ("negative-seed", "infinite-eps0", "infinite-fd-step",
-                          "infinite-tol", "nan-tol"))])
+              for bad in ("negative-seed", "infinite-fd-step", "infinite-tol", "nan-tol"))])
     def test_bad_problem_or_solver_option_is_refused(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
