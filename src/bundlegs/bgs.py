@@ -30,16 +30,16 @@ gamma over the last m + 1 of them (a stall, see `model_stalled`, which
 costs no cut); or the new linearization fails the improvement criterion.
 No point's gradient is evaluated twice.  A serious step found by the
 initial sampled model is stretched by doubling while f keeps falling (see
-`extrapolate`); a step found after enrichment is taken as it is.  The step,
-its stretch and FDP, which moves only a null step's auxiliary point (see
-`fdp_perturb`), are all judged by `sufficient_decrease`.
+`extrapolate`); a step found after enrichment is taken as it is.  Each new
+cut's point is first moved by FDP to a differentiable point nearby (see
+`fdp_perturb`), wherever the oracle has `smooth_at`.  The step, its stretch
+and FDP are all judged by `sufficient_decrease`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -87,18 +87,17 @@ class SolverConfig:
     """The parameters of the solver that a caller sets.
 
     eps0 is the initial sampling radius.  When `m` is None it resolves to 2n
-    for n <= 20 and ceil(n/10) otherwise.  `differentiability_checks` moves
-    each null step's auxiliary point to a differentiable one (`fdp_perturb`),
-    `collect_diagnostics` turns on the per-record audits.  The step
-    parameters `_MU`, `_ALPHA`, `_BETA`, `_GAMMA`, `_THETA` and the
-    tolerances `_EPS_TOL`, `_MIN_RADIUS` and `_FDP_SIGMA` are fixed.
+    for n <= 20 and ceil(n/10) otherwise.  `collect_diagnostics` turns on
+    the per-record audits.  The step parameters `_MU`, `_ALPHA`, `_BETA`,
+    `_GAMMA`, `_THETA` and the tolerances `_EPS_TOL`, `_MIN_RADIUS` and
+    `_FDP_SIGMA` are fixed.  FDP is no option: an oracle without
+    `smooth_at` is never moved by it.
     """
 
     eps0: float = 1.0
     m: Optional[int] = None
     seed: int = 0
     max_outer: int = 1000
-    differentiability_checks: bool = False
     collect_diagnostics: bool = False
 
     def __post_init__(self) -> None:
@@ -176,6 +175,7 @@ class RunResult:
     stop_reason: str
     outer_iters: int
     grad_evals: int
+    fdp_give_ups: int = 0  # cuts that `fdp_perturb` left on a kink; GS takes none
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +331,24 @@ def fdp_perturb(
     x: np.ndarray,
     f_x: float,
     d: np.ndarray,
-    f_d: float,
+    trial: np.ndarray,
+    f_trial: float,
     beta: float,
     z: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
-    """Differentiable perturbation of a null step's auxiliary point x + d (FDP2).
+) -> tuple[np.ndarray, float, bool]:
+    """Differentiable perturbation of a cut's auxiliary point trial = x + d (FDP2).
 
-    x + d fails `sufficient_decrease`; f_x is f(x), f_d is f(x + d).  The
-    trials are x + d, then x_hat + d for x_hat drawn from B(x, sigma_hat),
-    sigma_hat = `_FDP_SIGMA` halved per draw.  Returns the first that is a
-    differentiable point and still fails the test, and f there, evaluating no
-    point twice.  After `_FDP_MAX_TRIALS` trials (x + d and 63 draws) it
-    gives up with a warning and returns x + d and f_d.
+    The trial point fails `sufficient_decrease`; f_x is f(x), f_trial is
+    f(trial).  The trials are the trial point, then x_hat + d for x_hat
+    drawn from B(x, sigma_hat), sigma_hat = `_FDP_SIGMA` halved per draw.
+    Returns the first that `oracle.differentiable_at` accepts and that still
+    fails the test, f there and False, evaluating no point twice; an oracle
+    without `smooth_at` gets the trial point back at once.  After
+    `_FDP_MAX_TRIALS` trials (the trial point and 63 draws) it gives up and
+    returns the trial point, f_trial and True.
     """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    point, f_point = x + d, f_d
+    point, f_point = trial, f_trial
     for j in range(_FDP_MAX_TRIALS):
         if j > 0:
             point, f_point = sample_ball(x, _FDP_SIGMA * 0.5 ** (j - 1), 1, rng)[0] + d, None
@@ -355,10 +356,8 @@ def fdp_perturb(
             if f_point is None:
                 f_point = oracle.f(point)
             if not sufficient_decrease(f_x, f_point, z, beta):
-                return point, f_point
-    warnings.warn(f"FDP2: no acceptable perturbation within {_FDP_MAX_TRIALS} trials; "
-                  "x + d kept")
-    return x + d, f_d
+                return point, f_point, False
+    return trial, f_trial, True
 
 
 def improvement_criterion(e_new: float, e_tilde: float, f_gap: float, v: float,
@@ -477,15 +476,16 @@ def run(
     call); `model_stalled` finds that w fell by less than the factor gamma
     over the last m + 1 enrichments (tested after f(x_k + d) rules out a
     serious step, before the cut's gradient); the new linearization fails
-    `improvement_criterion`.  A serious step taken from the initial
-    model (inner index 0) is stretched by `extrapolate`.  A cap of
+    `improvement_criterion`.  Each cut's point is moved by `fdp_perturb`
+    before its gradient is taken, and the cuts it gives up on are counted in
+    `fdp_give_ups`.  A serious step taken from the initial model (inner
+    index 0) is stretched by `extrapolate`.  A cap of
     `_INNER_LIMIT_FACTOR` * (m + 1) enrichments per outer iteration only
     guards against a hang.  It is reported by the stop reason "inner_limit"
     alone, with no warning; the last record holds v, w and the radius.  A
     callback that returns True on the converged record leaves "converged".
     """
     mode = grad_mode or GradientMode.exact()
-    checks = config.differentiability_checks
     x = np.array(x0 if x0 is not None else oracle.x0, dtype=float)
     if x.shape != (oracle.dimension,) or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite vector of the oracle's dimension")
@@ -493,7 +493,7 @@ def run(
     m = config.resolve_m(n)
     rng = np.random.default_rng(config.seed)
     eps = float(config.eps0)
-    g_evals = 0
+    g_evals = give_ups = 0
     trace: list[IterationTrace] = []
     inner_cap = _INNER_LIMIT_FACTOR * (m + 1)
     stop_reason: str | None = None
@@ -578,11 +578,11 @@ def run(
                     break
                 null = model_stalled(w_history, m + 1, _GAMMA)
             if not null:
-                # improvement process: new auxiliary point and linearization
-                if checks:
-                    # a differentiable point nearby that also fails the test
-                    trial, f_trial = fdp_perturb(oracle, x, f_x, step.direction, f_trial,
-                                                 _BETA, step.z, rng)
+                # improvement process: new auxiliary point, moved by FDP,
+                # and its linearization
+                trial, f_trial, gave_up = fdp_perturb(oracle, x, f_x, step.direction, trial,
+                                                      f_trial, _BETA, step.z, rng)
+                give_ups += gave_up
                 g_new = gradient(oracle, mode, trial, f_x=f_trial)
                 g_evals += 1
                 e_new = linearization_error(f_x, f_trial, g_new, x, trial, mode.strict)
@@ -621,4 +621,4 @@ def run(
         k += 1
 
     return RunResult(x=x, f=f_x, trace=trace, stop_reason=stop_reason,
-                     outer_iters=k, grad_evals=g_evals)
+                     outer_iters=k, grad_evals=g_evals, fdp_give_ups=give_ups)

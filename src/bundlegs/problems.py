@@ -12,9 +12,9 @@ with probability 1.
 
 The bodies are written for speed: every sub-expression is computed once,
 the active piece is picked by comparisons, Rosen works on Python floats,
-the 2-norms skip `np.linalg.norm`'s dispatch, and MXHILB's value and
-gradient share the Hilbert product of the last point they saw, since the
-solvers ask for both at one point one after the other.  Their outputs are pinned
+the 2-norms skip `np.linalg.norm`'s dispatch, and MXHILB's value, gradient
+and `smooth_at` share the Hilbert product of the last point they saw, since
+the solvers ask for them at one point one after the other.  Their outputs are pinned
 byte for byte, including the sign of zero, to the plain bodies kept in
 `tests/helpers.py`, because the solvers' gradient counts react to the last
 bit of a gradient.
@@ -88,7 +88,7 @@ class ObjectiveOracle:
         eval_f: maps an n-vector to the objective value.
         eval_grad: maps an n-vector to the gradient (a subgradient at kinks).
         smooth_at: optional predicate that is True away from the kink set;
-            used only when differentiability checks are enabled.
+            the bundle solver's FDP moves each cut's point to where it holds.
 
     `grad` evaluates one point with one `eval_grad` call, so a wrapper
     around `eval_grad` counts every gradient the solvers use; a block of
@@ -249,8 +249,8 @@ def _mxhilb(n: int) -> ObjectiveOracle:
     i = np.arange(n)
     hilb = 1.0 / (i[:, None] + i[None, :] + 1.0)
     # the bytes of the last point seen and its product with hilb, as one
-    # pair: the solvers ask for f and the gradient at the same point one
-    # after the other, and the n x n product is most of the cost of either
+    # pair: the solvers ask for f, smoothness and the gradient at the same
+    # point one after the other, and the n x n product is most of the cost
     last = [(None, None)]
 
     def product(x):
@@ -272,7 +272,7 @@ def _mxhilb(n: int) -> ObjectiveOracle:
         return s * hilb[k]
 
     return ObjectiveOracle("MXHILB", n, 0.0, np.ones(n), f, g,
-                           lambda x: _apart(np.abs(hilb @ x)))
+                           lambda x: _apart(np.abs(product(x))))
 
 
 def _chained_lq(n: int) -> ObjectiveOracle:

@@ -1,6 +1,7 @@
 """Elementary bundle operations: errors, directions, criteria, selection."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -164,17 +165,27 @@ def _counting(oracle):
     return replace(oracle, eval_f=eval_f), points
 
 
+def _no_warning_fdp(oracle, x, f_x, d, f_trial, beta, z, rng):
+    """`fdp_perturb` at the trial point x + d, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fdp_perturb(oracle, x, f_x, d, x + d, f_trial, beta, z, rng)
+
+
 class TestFdpPerturb:
-    # every case moves a null step's point: x + d fails f - f_x <= beta*z
+    # every case moves a cut's point: x + d fails f - f_x <= beta*z
 
     def test_already_acceptable_is_unchanged(self):
-        # x + d and f there are returned as they came, without an evaluation
+        # without smooth_at, the trial point and f there are returned as
+        # they came, without an evaluation or a draw
         o, points = _counting(quadratic_oracle(2))
         rng = np.random.default_rng(0)
         x, d = np.array([1.0, 0.0]), np.array([0.5, 0.0])
-        out, f_out = fdp_perturb(o, x, 1.0, d, 2.25, 0.5, -1.0, rng)
-        np.testing.assert_array_equal(out, x + d)
-        assert f_out == 2.25 and points == []
+        trial = x + d
+        out, f_out, gave_up = fdp_perturb(o, x, 1.0, d, trial, 2.25, 0.5, -1.0, rng)
+        assert out is trial
+        assert (f_out, gave_up, points) == (2.25, False, [])
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_fdp2_preserves_violation(self):
         # trial lands on the kink while f(x+d) - f(x) = -0.5 > beta*z = -0.9;
@@ -182,8 +193,8 @@ class TestFdpPerturb:
         o, points = _counting(abs_oracle())
         rng = np.random.default_rng(6)
         x, d = np.array([0.5]), np.array([-0.5])
-        out, f_out = fdp_perturb(o, x, 0.5, d, 0.0, 0.9, -1.0, rng)
-        assert out[0] != 0.0
+        out, f_out, gave_up = _no_warning_fdp(o, x, 0.5, d, 0.0, 0.9, -1.0, rng)
+        assert out[0] != 0.0 and not gave_up
         assert abs(out[0]) < bgs._FDP_SIGMA
         assert f_out == o.f(out)
         assert f_out - 0.5 > 0.9 * -1.0
@@ -195,8 +206,8 @@ class TestFdpPerturb:
         monkeypatch.setattr(bgs, "_FDP_SIGMA", 1e-3)
         o, points = _counting(abs_oracle())
         rng = np.random.default_rng(7)
-        out, f_out = fdp_perturb(o, np.array([0.5]), 0.5, np.array([-0.5]), 0.0, 0.9, -1.0,
-                                 rng)
+        out, f_out, _ = _no_warning_fdp(o, np.array([0.5]), 0.5, np.array([-0.5]), 0.0, 0.9,
+                                        -1.0, rng)
         evaluated = [p.tobytes() for p in points]
         assert len(evaluated) == len(set(evaluated)) >= 1
         assert abs(out[0]) <= 1e-3
@@ -205,16 +216,16 @@ class TestFdpPerturb:
     def test_give_up_returns_x_plus_d(self):
         # f = -|x| breaks convexity so that every draw near the kink x + d
         # passes the test, -|u| <= beta*z = -1e-300, and none is accepted.
-        # x + d comes back with the value the caller passed, and the only
-        # `eval_f` calls are those at the 63 draws
+        # x + d comes back with the value the caller passed and a give-up,
+        # and the only `eval_f` calls are those at the 63 draws
         o, points = _counting(ObjectiveOracle("neg-abs", 1, 0.0, np.zeros(1),
                                               lambda x: -abs(x[0]), lambda x: -np.sign(x),
                                               smooth_at=lambda x: x[0] != 0.0))
         x, d = np.array([0.0]), np.array([0.0])
-        with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
-            out, f_out = fdp_perturb(o, x, 0.0, d, 0.0, 1.0, -1e-300, np.random.default_rng(8))
+        out, f_out, gave_up = _no_warning_fdp(o, x, 0.0, d, 0.0, 1.0, -1e-300,
+                                              np.random.default_rng(8))
         np.testing.assert_array_equal(out, x + d)
-        assert f_out == 0.0
+        assert f_out == 0.0 and gave_up
         rng = np.random.default_rng(8)
         draws = [sample_ball(x, bgs._FDP_SIGMA * 0.5 ** j, 1, rng)[0] + d
                  for j in range(bgs._FDP_MAX_TRIALS - 1)]
@@ -227,8 +238,7 @@ class TestFdpPerturb:
                             np.sign, smooth_at=lambda x: False)
         x = np.array([1.0])
         rng = np.random.default_rng(3)
-        with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
-            fdp_perturb(o, x, 1.0, np.array([0.5]), 1.5, 0.5, -1.0, rng)
+        assert _no_warning_fdp(o, x, 1.0, np.array([0.5]), 1.5, 0.5, -1.0, rng)[2]
         ref = np.random.default_rng(3)
         for j in range(bgs._FDP_MAX_TRIALS - 1):
             sample_ball(x, bgs._FDP_SIGMA * 0.5 ** j, 1, ref)
@@ -240,21 +250,22 @@ class TestFdpPerturb:
         o, points = _counting(ObjectiveOracle("abs-nowhere-smooth", 1, 0.0, np.zeros(1),
                                               lambda x: abs(x[0]), np.sign,
                                               smooth_at=lambda x: False))
-        with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
-            out, f_out = fdp_perturb(o, np.array([0.0]), 0.0, np.array([0.0]), 0.0, 1.0, -1.0,
-                                     np.random.default_rng(0))
+        out, f_out, gave_up = _no_warning_fdp(o, np.array([0.0]), 0.0, np.array([0.0]), 0.0,
+                                              1.0, -1.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, [0.0])
+        assert gave_up
         assert f_out == 0.0 and not sufficient_decrease(0.0, f_out, -1.0, 1.0)
         assert points == []
 
     def test_fdp2_give_up_names_fdp2(self):
+        # a give-up is returned, not warned: under warnings as errors the
+        # trial point comes back with its value
         o = ObjectiveOracle("abs-nowhere-smooth", 1, 0.0, np.zeros(1), lambda x: abs(x[0]),
                             np.sign, smooth_at=lambda x: False)
-        with pytest.warns(UserWarning, match="FDP2: no acceptable perturbation"):
-            out, f_out = fdp_perturb(o, np.array([1.0]), 1.0, np.array([0.5]), 1.5, 0.5, -1.0,
-                                     np.random.default_rng(0))
+        out, f_out, gave_up = _no_warning_fdp(o, np.array([1.0]), 1.0, np.array([0.5]), 1.5,
+                                              0.5, -1.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, [1.5])
-        assert f_out == 1.5
+        assert (f_out, gave_up) == (1.5, True)
 
 
 class TestImprovementCriterion:

@@ -137,14 +137,20 @@ def test_gradient_of_the_wrong_shape_is_refused(solve, eval_grad):
 
 
 def test_differentiability_checks_spend_no_uncounted_gradient():
-    # an oracle without smooth_at counts as smooth everywhere, so
-    # fdp_perturb's checks spend no gradient; the trajectory is unchanged
-    calls = []
+    # fdp_perturb asks smooth_at, never the gradient, so an oracle smooth
+    # everywhere by its smooth_at runs as one without smooth_at, which FDP
+    # never moves
     oracle = quadratic_oracle(3)
-    probe = replace(oracle, eval_grad=lambda x: calls.append(1) or oracle.eval_grad(x))
-    res = run(probe, SolverConfig(seed=0, m=4, max_outer=30, differentiability_checks=True))
-    assert res.grad_evals == len(calls) == 21
-    assert (res.f.hex(), res.stop_reason) == ("0x1.4140000000000p-97", "converged")
+
+    def solve(smooth_at):
+        calls = []
+        probe = replace(oracle, eval_grad=lambda x: calls.append(1) or oracle.eval_grad(x),
+                        smooth_at=smooth_at)
+        res = run(probe, SolverConfig(seed=0, m=4, max_outer=30))
+        return res.grad_evals, len(calls), res.f.hex(), res.stop_reason, res.fdp_give_ups
+
+    assert solve(lambda x: True) == solve(None) == (21, 21, "0x1.4140000000000p-97",
+                                                    "converged", 0)
 
 
 def test_differentiability_checks_evaluate_no_point_twice():
@@ -153,7 +159,7 @@ def test_differentiability_checks_evaluate_no_point_twice():
     points = []
     oracle = make_problem("ChainedLQ", 10)
     probe = replace(oracle, eval_f=lambda x: points.append(x.tobytes()) or oracle.eval_f(x))
-    res = run(probe, SolverConfig(seed=4, m=8, max_outer=30, differentiability_checks=True))
+    res = run(probe, SolverConfig(seed=4, m=8, max_outer=30))
     assert len(points) == len(set(points)) == 340
     assert res.stop_reason == "budget"
 
@@ -310,38 +316,80 @@ def test_deterministic_trace():
 
 
 def test_differentiability_checks_run():
-    # FDP moves every null step's auxiliary point; the run must finish and
+    # FDP moves every cut's auxiliary point; the run must finish and
     # keep descent
     oracle = make_problem("MAXL-gen", 4)
-    cfg = SolverConfig(seed=4, m=8, max_outer=30, differentiability_checks=True)
+    cfg = SolverConfig(seed=4, m=8, max_outer=30)
     res = run(oracle, cfg, stop_callback=lambda rec: rec.f_val <= 1e-5)
     assert res.f <= oracle.f(perturb_start(oracle.x0, 4, np.random.default_rng([4, 1])))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_battery_takes_no_cut_gradient_at_a_kink_of_maxl(monkeypatch, seed):
+    # the n=50 battery's MAXL-gen runs with the default config: FDP moves
+    # every cut's point off the kinks of smooth_at, with no give-up.  Without
+    # FDP, 574 of the 1,674 cuts of seeds 0-4 are taken at a kink.  Only a
+    # cut's linearization goes through the scalar linearization_error, so
+    # its points are the cuts' points
+    oracle = make_problem("MAXL-gen", 50)
+    points, real = [], bgs.linearization_error
+
+    def cut(f_xk, f_s, g_s, x_k, s, strict=True):
+        points.append(s.copy())
+        return real(f_xk, f_s, g_s, x_k, s, strict)
+
+    monkeypatch.setattr(bgs, "linearization_error", cut)
+    start = perturb_start(oracle.x0, 50, np.random.default_rng([seed, 1]))
+    res = run(oracle, SolverConfig(seed=seed, m=5), start,
+              stop_callback=lambda rec: harness.relative_error(rec.f_val, 0.0) <= 5e-4)
+    assert (res.stop_reason, res.fdp_give_ups) == ("callback", 0)
+    assert points and all(oracle.smooth_at(p) for p in points)
+
+
 def test_differentiability_checks_give_up_nowhere_on_exact_rosen():
-    # the rosen_fd protocol, seed 0, checks on: every null-step point has a
-    # differentiable neighbour that also fails the test, so FDP never gives
-    # up; a give-up's UserWarning would fail this test
+    # the rosen_fd protocol, seed 0: every cut's point has a differentiable
+    # neighbour that also fails the test, so FDP never gives up
     oracle = make_problem("Rosen")
     start = perturb_start(oracle.x0, 4, np.random.default_rng([0, 1]))
-    res = run(oracle, SolverConfig(seed=0, m=8, max_outer=300, differentiability_checks=True),
-              start)
-    assert res.stop_reason == "radius_floor"
+    res = run(oracle, SolverConfig(seed=0, m=8, max_outer=300), start)
+    assert (res.stop_reason, res.fdp_give_ups) == ("radius_floor", 0)
     assert harness.relative_error(res.f, oracle.f_star) <= 1e-3
 
 
+def test_run_counts_each_fdp_give_up(monkeypatch):
+    # MAXQ-gen's forward-difference pin: near its minimizer every piece x_i^2
+    # is within the smoothness gap 1e-10 of the largest, so no point there
+    # counts as differentiable.  The run counts each give-up fdp_perturb
+    # returns and warns of none; GS takes no cut and counts none
+    returned, real = [], bgs.fdp_perturb
+
+    def fdp(*args):
+        out = real(*args)
+        returned.append(out[2])
+        return out
+
+    monkeypatch.setattr(bgs, "fdp_perturb", fdp)
+    oracle = make_problem("MAXQ-gen", 10)
+    mode = GradientMode.forward(1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(oracle, SolverConfig(seed=6, m=5, max_outer=60), grad_mode=mode)
+        base = gs.gs_run(oracle, gs.GsConfig(seed=6, max_iters=20), grad_mode=mode)
+    assert res.fdp_give_ups == sum(returned) == 34
+    assert base.fdp_give_ups == 0
+
+
 def test_differentiability_checks_leave_mxhilb_unmoved():
-    # every null-step point of this run is differentiable already, so FDP
-    # draws nothing and the run is the one with the checks off
+    # every cut's point of this run is differentiable already, so FDP draws
+    # nothing and the run is the one without smooth_at, which FDP never moves
     oracle = make_problem("MXHILB", 10)
     start = perturb_start(oracle.x0, 10, np.random.default_rng([0, 1]))
 
-    def solve(checks):
+    def solve(oracle):
         stop = lambda rec: harness.relative_error(rec.f_val, oracle.f_star) <= 5e-4  # noqa: E731
-        return run(oracle, SolverConfig(seed=0, differentiability_checks=checks), start,
-                   stop_callback=stop)
+        return run(oracle, SolverConfig(seed=0), start, stop_callback=stop)
 
-    off, on = solve(False), solve(True)
+    on, off = solve(oracle), solve(replace(oracle, smooth_at=None))
     assert on.grad_evals == off.grad_evals == 170
     assert on.f.hex() == off.f.hex()
 
@@ -412,14 +460,14 @@ BATTERY_PINS = [
     ("ChainedCB3I", 835, "0x1.883106dd74d7cp+6"),
     ("ChainedCB3II", 147, "0x1.8815dac71651cp+6"),
     ("MAXQ-gen", 910, "0x1.04681f69cb87bp-11"),
-    ("MAXL-gen", 1142, "0x1.6df82d4d87b6fp-48"),
+    ("MAXL-gen", 472, "0x1.5748b4ff54e80p-12"),
     ("PartlySmooth", 172, "0x1.6cd6cd51fa58dp-16"),
 ]
 
 # Rosen, m=8, 300 outer iterations, seed 0, to the solver's own stop
 ROSEN_PINS = [
-    (GradientMode.exact(), 1984, "-0x1.5ffffffffff87p+5"),
-    (GradientMode.forward(1e-9), 1797, "-0x1.5ffffffffed53p+5"),
+    (GradientMode.exact(), 1710, "-0x1.5ffffffffffabp+5"),
+    (GradientMode.forward(1e-9), 1786, "-0x1.5ffffffffed49p+5"),
 ]
 
 
@@ -490,9 +538,9 @@ FD_BGS_PINS = [  # problem, grad_evals, f, eval_f calls
     (2, 564, "0x1.8451813e39240p-13", 6256),
     (3, 798, "-0x1.974af10ad3d2ap+3", 8790),
     (4, 1112, "0x1.2006f515d24bfp+4", 12241),
-    (5, 544, "0x1.20000001bd604p+4", 6025),
-    (6, 316, "0x1.4888947961591p-68", 3492),
-    (7, 731, "0x1.6e8b67b025be4p-30", 8063),
+    (5, 538, "0x1.2000000188c24p+4", 5961),
+    (6, 371, "0x1.4888947961591p-68", 4097),
+    (7, 727, "0x1.7735a3212a4bbp-30", 8118),
     (8, 660, "0x1.04e063e76a9fcp-23", 7281),
 ]
 GS_PINS = [  # mode, problem, grad_evals, f, eval_f calls
@@ -553,7 +601,7 @@ def test_large_trajectory_pinned(name, grad_evals, f_hex):
 # theta=1 keeps every row, so the enrichment models grow past 2m + 6 rows,
 # far beyond the m + 3 of a first enrichment
 GROWTH_PINS = [
-    ("ChainedLQ", 10, 1, 333, "-0x1.974b01e0420e4p+3"),
+    ("ChainedLQ", 10, 1, 342, "-0x1.974b030a4c1aep+3"),
     ("Rosen", None, 0, 238, "-0x1.5fffffffb1dafp+5"),
 ]
 

@@ -198,10 +198,14 @@ def test_spec_validation(field, value, message):
     ({"solver": "gs", "solver_options": {"max_iters": 2.5}},
      "max_iters must be an integer, got 2.5"),
     ({"solver": "gs", "solver_options": {"max_iters": 0}}, "max_iters must be at least 1"),
+    # FDP is no switch: an oracle without smooth_at is never moved by it
+    ({"solver_options": {"differentiability_checks": True}},
+     "solver bgs takes no option differentiability_checks"),
 ], ids=["unknown-problem", "fixed-dimension", "gs-takes-no-mu", "bgs-takes-no-sigma",
         "seed-option", "bgs-negative-m", "gs-zero-m", "output-directory", "trace-directory",
         "float-replications", "float-seed-base", "float-n", "integral-float-n", "float-m",
-        "float-max-outer", "gs-float-max-iters", "gs-zero-max-iters"])
+        "float-max-outer", "gs-float-max-iters", "gs-zero-max-iters",
+        "bgs-takes-no-differentiability-checks"])
 def test_spec_refuses_before_any_solve(changes, message, tmp_path, monkeypatch):
     # the experiment is judged where it is built, not once its runs start
     monkeypatch.chdir(tmp_path)

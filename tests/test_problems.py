@@ -15,6 +15,7 @@ from bundlegs.problems import (
     catalog,
     gradient,
     make_problem,
+    _apart,
     sample_rows,
 )
 from helpers import reference_problem
@@ -731,11 +732,21 @@ def test_mxhilb_shared_product_byte_equal_over_call_sequences():
     new, ref = make_problem("MXHILB", 50), reference_problem("MXHILB", 50)
     rng = np.random.default_rng(53)
     x, y = rng.standard_normal(50), rng.standard_normal(50)
-    calls = [("f", x), ("grad", x), ("grad", y), ("f", x), ("f", x), ("grad", y)]
+    # smooth_at takes the shared product too; its reference takes it afresh
+    i = np.arange(50)
+    hilb = 1.0 / (i[:, None] + i[None, :] + 1.0)
+    kink = np.zeros(50)  # every row of the product ties
+    calls = [("f", x), ("smooth", x), ("grad", x), ("grad", y), ("smooth", x), ("f", x),
+             ("f", x), ("smooth", y), ("grad", y), ("smooth", kink), ("f", kink)]
     for key, point in calls:
+        if key == "smooth":
+            got, want = new.smooth_at(point), _apart(np.abs(hilb @ point))
+            assert got is want, key
+            continue
         fn = "eval_f" if key == "f" else "eval_grad"
         got, want = getattr(new, fn)(point), getattr(ref, fn)(point)
         assert (_same_value(got, want) if key == "f" else _same_array(got, want)), key
+    assert not new.smooth_at(kink)
     # a point changed in place between calls is a new point
     z = x.copy()
     for _ in range(5):

@@ -1,13 +1,15 @@
-"""The FDP table: every protocol with the differentiability checks off and on.
+"""The FDP table: every protocol with FDP off and on.
 
 Run from the root of a checkout, with no options:
 
     python3 tools/fdp_table.py
 
-For each protocol and problem it prints one line per setting of
-`SolverConfig.differentiability_checks`: the gradients summed over the
-runs, the runs that reach their target, and the FDP give-ups (the
-`UserWarning`s of `bgs.fdp_perturb`).  The protocols:
+FDP (`bgs.fdp_perturb`) runs wherever the oracle has `smooth_at`, so "on"
+is the problem as `make_problem` builds it and "off" is the problem with
+`smooth_at` replaced by None.  For each protocol and problem it prints one
+line per setting: the gradients summed over the runs, the runs that reach
+their target, and the FDP give-ups (`RunResult.fdp_give_ups`, summed).  The
+protocols:
 
 - battery: problems 1-8, n=50, m=5, seeds 0-4, exact, target 5e-4;
 - small: problems 1-8, n=10, the default m, seeds 0-4, exact, target 5e-4;
@@ -20,12 +22,13 @@ runs, the runs that reach their target, and the FDP give-ups (the
   target is a relative error of 1e-3.
 
 Runs are untimed, so two trees that print the same lines ran alike.  The
-whole table takes about 50 s on a 2-core VM.
+whole table takes about 55 s on a 2-core VM.
 """
 
+import dataclasses
 import os
 import sys
-import warnings
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -42,29 +45,57 @@ from bundlegs.problems import GradientMode, make_problem  # noqa: E402
 ROSEN_TARGET = 1e-3
 
 
-def _harness_row(problem: str, checks: bool, *, n, reps, m, tol, fd_step=None):
-    """(gradients, runs at target, runs) of one `run_experiment`."""
-    options = {"differentiability_checks": checks}
-    if m is not None:
-        options["m"] = m
+def _without_smooth_at(oracle):
+    """The oracle that FDP never moves."""
+    return dataclasses.replace(oracle, smooth_at=None)
+
+
+@contextmanager
+def _harness_patched(fdp: bool, results: list):
+    """Within, every `bgs.run` result is appended to `results`, and with
+    `fdp` off `harness.make_problem` builds its problems without `smooth_at`."""
+    make, solve = harness.make_problem, bgs.run
+
+    def run(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    bgs.run = run
+    if not fdp:
+        harness.make_problem = lambda *a, **k: _without_smooth_at(make(*a, **k))
+    try:
+        yield
+    finally:
+        harness.make_problem, bgs.run = make, solve
+
+
+def _harness_row(problem: str, fdp: bool, *, n, reps, m, tol, fd_step=None):
+    """(gradients, runs at target, runs, give-ups) of one `run_experiment`."""
+    options = {} if m is None else {"m": m}
     spec = harness.ExperimentSpec(solver="bgs", problem=problem, n=n, replications=reps,
                                   stop_rel_err=tol, seed_base=0, solver_options=options,
                                   fd_step=fd_step, measure_time=False)
-    reports, _ = harness.run_experiment(spec)
-    return sum(r.g_eval for r in reports), sum(r.converged for r in reports), reps
+    results = []
+    with _harness_patched(fdp, results):
+        reports, _ = harness.run_experiment(spec)
+    return (sum(r.g_eval for r in reports), sum(r.converged for r in reports), reps,
+            sum(r.fdp_give_ups for r in results))
 
 
-def _rosen_row(mode: GradientMode, checks: bool):
-    """(gradients, runs at target, runs) of the `rosen_fd` solves in one mode."""
+def _rosen_row(mode: GradientMode, fdp: bool):
+    """(gradients, runs at target, runs, give-ups) of the `rosen_fd` solves in one mode."""
     oracle = make_problem("Rosen")
-    grads = hits = 0
+    if not fdp:
+        oracle = _without_smooth_at(oracle)
+    grads = hits = give_ups = 0
     for s in range(5):
         start = harness.perturb_start(oracle.x0, 4, np.random.default_rng([s, 1]))
-        config = bgs.SolverConfig(seed=s, m=8, max_outer=300, differentiability_checks=checks)
-        res = bgs.run(oracle, config, start, grad_mode=mode)
+        res = bgs.run(oracle, bgs.SolverConfig(seed=s, m=8, max_outer=300), start,
+                      grad_mode=mode)
         grads += res.grad_evals
         hits += harness.relative_error(res.f, oracle.f_star) <= ROSEN_TARGET
-    return grads, hits, 5
+        give_ups += res.fdp_give_ups
+    return grads, hits, 5, give_ups
 
 
 HARNESS_PROTOCOLS = (
@@ -76,7 +107,7 @@ HARNESS_PROTOCOLS = (
 
 
 def _cells():
-    """(protocol, problem, row function of `checks`) in print order."""
+    """(protocol, problem, row function of `fdp`) in print order."""
     for protocol, problems, kw in HARNESS_PROTOCOLS:
         for p in problems:
             yield protocol, make_problem(str(p), 10).name, partial(_harness_row, str(p), **kw)
@@ -85,15 +116,12 @@ def _cells():
 
 
 def main() -> int:
-    print(f"{'protocol':<8} {'problem':<12} {'checks':<6} {'grads':>7} {'target':>7} "
+    print(f"{'protocol':<8} {'problem':<12} {'fdp':<6} {'grads':>7} {'target':>7} "
           f"{'give-ups':>8}")
     for protocol, problem, row in _cells():
-        for checks in (False, True):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                grads, hits, runs = row(checks)
-            give_ups = sum("no acceptable perturbation" in str(w.message) for w in caught)
-            print(f"{protocol:<8} {problem:<12} {'on' if checks else 'off':<6} {grads:>7} "
+        for fdp in (False, True):
+            grads, hits, runs, give_ups = row(fdp)
+            print(f"{protocol:<8} {problem:<12} {'on' if fdp else 'off':<6} {grads:>7} "
                   f"{f'{hits}/{runs}':>7} {give_ups:>8}", flush=True)
     return 0
 
