@@ -2,11 +2,13 @@
 
 Each outer iteration samples m points from the ball B(x_k, eps_k), builds the
 polyhedral model from the gradients there (plus the gradient at x_k itself),
-and solves the dual search-direction subproblem over the simplex.  If the
-resulting direction fails the sufficient-decrease test, an inner improvement
-process either enriches the model one linearization at a time, compressing
-the old constraints into a single aggregated pair via the dual multipliers,
-or gives up and shrinks the sampling radius (a null step).
+and solves the dual search-direction subproblem over the simplex
+(`start_model`).  If the resulting direction fails the sufficient-decrease
+test, an inner chain (`inner_chain`, which says how a chain ends) either
+enriches the model one linearization at a time, compressing the old
+constraints into a single aggregated pair via the dual multipliers, or gives
+up and shrinks the sampling radius (a null step).  No point's gradient is
+evaluated twice.
 
 Every cut is one row [g_j | e_j]: a gradient and its linearization error at
 x_k.  The model is an array of such rows, and the aggregate and the new cut
@@ -21,24 +23,12 @@ that stack.  The initial model's aggregate is the QP's own lam @ G; an
 enrichment's is the row-by-row sum of `aggregate`.  Near-duplicate rows make
 round-off decide how lam splits among them, so each aggregate keeps its own
 summation order: either order used for both moves the gradient counts.
-
-The improvement process gives up, with a null step, on one of three causes,
-in this order: the trial point x_k + d is one the chain has tried already
-(a revisit, which costs no oracle call); the model has stopped paying for
-its enrichments, the dual value w having fallen by less than the factor
-gamma over the last m + 1 of them (a stall, see `model_stalled`, which
-costs no cut); or the new linearization fails the improvement criterion.
-No point's gradient is evaluated twice.  A serious step found by the
-initial sampled model is stretched by doubling while f keeps falling (see
-`extrapolate`); a step found after enrichment is taken as it is.  Each new
-cut's point is first moved by FDP to a differentiable point nearby (see
-`fdp_perturb`), wherever the oracle has `smooth_at`.  The step, its stretch
-and FDP are all judged by `sufficient_decrease`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -50,9 +40,9 @@ from .problems import (EvaluationError, GradientMode, ObjectiveOracle, gradient,
 from .qp import QpFailureError, SimplexQpInstance, SimplexQpSolution, solve_simplex_qp
 from .sampling import sample_ball
 
-# enrichments per outer iteration, in units of m + 1, before `run` stops on
-# "inner_limit": a guard against a hang, far above where `model_stalled`
-# ends a chain
+# enrichments per outer iteration, in units of m + 1, before `inner_chain`
+# stops the run on "inner_limit": a guard against a hang, far above where
+# `model_stalled` ends a chain
 _INNER_LIMIT_FACTOR = 500
 
 # `run` stops on "converged" once v <= _EPS_TOL and on "radius_floor" once the
@@ -176,6 +166,31 @@ class RunResult:
     outer_iters: int
     grad_evals: int
     fdp_give_ups: int = 0  # cuts that `fdp_perturb` left on a kink; GS takes none
+
+
+@dataclass
+class Model:
+    """A chain's model at x_k: rows [g_j | e_j] (row 0 x_k's gradient, error
+    0), their multipliers, the aggregate row [g_tilde | e_tilde] and its step."""
+
+    rows: np.ndarray
+    lam: np.ndarray
+    agg: np.ndarray
+    step: StepOutcome
+
+
+@dataclass
+class ChainEnd:
+    """How `inner_chain` ended, and the iterate and the counts it leaves."""
+
+    kind: StepKind  # of the chain's last record
+    stop: Optional[str]  # the stop reason it gives `run`, None to go on
+    x: np.ndarray
+    f_x: float
+    grad_evals: int  # the run's
+    fdp_give_ups: int  # the chain's
+    t: float = 1.0  # a serious step's stretch
+    cause: Optional[str] = None  # a null step's: "revisit", "stall" or "criterion"
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +386,7 @@ def improvement_criterion(e_new: float, e_tilde: float, f_gap: float, v: float,
     shrink the radius and rebuild.
 
     Near a minimizer the first disjunct can keep holding while each new cut
-    lowers w only like 1/i, so `run` also takes a null step when
+    lowers w only like 1/i, so `inner_chain` also takes a null step when
     `model_stalled` reports that w no longer falls.
     """
     return e_new <= gamma * e_tilde or f_gap <= v
@@ -381,7 +396,7 @@ def model_stalled(w_history: list[float], window: int, gamma: float) -> bool:
     """True iff w fell by less than the factor gamma over the last `window` steps.
 
     `w_history` holds the dual values w_0, ..., w_i of the current inner
-    loop; the test is w_i > gamma * w_{i-window}.  `run` uses window = m + 1,
+    loop; the test is w_i > gamma * w_{i-window}.  `inner_chain` uses m + 1,
     so an enrichment chain that no longer shrinks w by 10% (gamma = 0.9) per
     m + 1 gradients ends in a null step.  A single slow step does not count:
     long model-building chains whose w falls in bursts keep going.  With at
@@ -454,6 +469,124 @@ def _solve_model(rows: np.ndarray, scale: float, warm: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 
+def start_model(oracle: ObjectiveOracle, mode: GradientMode, config: SolverConfig,
+                x: np.ndarray, f_x: float, eps: float, g_x: np.ndarray | None,
+                rng: np.random.Generator, k: int) -> tuple[Model, int]:
+    """Outer iteration k's starting model at x, and the gradients it spent.
+
+    Row 0 is the held gradient `g_x`, evaluated afresh when None, and m rows
+    are sampled from B(x, eps) (`build_initial_model`).  The aggregate is the
+    QP's own lam @ G."""
+    rows, spent = build_initial_model(oracle, x, eps, config.resolve_m(x.size), rng,
+                                      f_xk=f_x, mode=mode, g_xk=g_x)
+    sol = _solve_model(rows, eps ** -_ALPHA, None, f"initial subproblem at k={k}")
+    agg = np.append(sol.g_tilde, max(sol.e_tilde, 0.0))
+    return Model(rows, sol.lam, agg, direction_from_dual(agg, eps, _ALPHA)), spent
+
+
+def _enrich(model: Model, g_new: np.ndarray, e_new: float, eps: float, where: str) -> Model:
+    """The model of the kept rows (row 0 first), the new cut and the prior
+    aggregate, warm-started with the weight the kept rows do not carry on the
+    last.  Its aggregate is `aggregate`'s row-by-row sum."""
+    keep = select_indices(model.lam, _THETA, forced=(0,))
+    q = len(keep)
+    rows = np.empty((q + 2, model.rows.shape[1]))
+    model.rows.take(keep, axis=0, out=rows[:q])
+    rows[q, :-1], rows[q, -1] = g_new, e_new
+    rows[q + 1] = model.agg
+    warm = np.zeros(q + 2)
+    model.lam.take(keep, out=warm[:q])
+    warm[-1] = max(0.0, 1.0 - warm.sum())
+    sol = _solve_model(rows, eps ** -_ALPHA, warm, where)
+    agg = aggregate(sol.lam, rows)
+    return Model(rows[:-1], sol.lam[:-1], agg, direction_from_dual(agg, eps, _ALPHA))
+
+
+def _report(trace: list, stop_callback, diagnostics: bool, kind: StepKind, k: int, i: int,
+            f_val: float, x: np.ndarray, f_x: float, eps: float, model: Model,
+            g_evals: int, prior: Model | None = None) -> Optional[str]:
+    """Append the record of `model` at (k, i) to `trace`; "callback" if the
+    callback asks to stop.  An enrichment's diagnostics also read `prior`."""
+    step, diag = model.step, None
+    if diagnostics:
+        diag = StepDiagnostics(
+            x_k=x.copy(), f_xk=f_x, g_tilde=model.agg[:-1].copy(), e_tilde=model.agg[-1],
+            d=step.direction.copy(), z=step.z, eps_alpha=eps ** _ALPHA,
+            grad_xk=model.rows[0, :-1].copy())
+        if prior is not None:
+            diag.new_atom_grad, diag.new_atom_err = model.rows[-1, :-1].copy(), model.rows[-1, -1]
+            diag.d_prev, diag.z_prev = prior.step.direction.copy(), prior.step.z
+            # per row: a matmul rounds this diagnostic differently
+            diag.model_z_max = max(float(r[:-1] @ step.direction) - r[-1]
+                                   for r in (*model.rows, prior.agg))
+    trace.append(IterationTrace(k=k, i=i, f_val=f_val, v=step.v, w=step.w, radius=eps,
+                                kind=kind, grad_evals_cum=g_evals, diag=diag))
+    return "callback" if stop_callback is not None and stop_callback(trace[-1]) else None
+
+
+def inner_chain(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray, f_x: float,
+                eps: float, m: int, model: Model, rng: np.random.Generator, k: int,
+                g_evals: int, report: Callable[..., Optional[str]]) -> ChainEnd:
+    """Improve `model` at x until a step is taken, and say how it ended.
+
+    Each pass tests the trial point x + d.  The chain converges once v <=
+    `_EPS_TOL`.  A serious step passes `sufficient_decrease`; the initial
+    model's (i = 0) is stretched by `extrapolate`.  Otherwise the chain
+    takes a null step on one of three causes, tested in this order: x + d
+    is a trial point the chain has tried (a revisit, before any oracle
+    call); `model_stalled` finds that w fell by less than the factor gamma
+    over the last m + 1 enrichments (a stall, after f(x + d), before the
+    cut's gradient); the new cut fails `improvement_criterion`.  Else the
+    cut, its point first moved by `fdp_perturb`, enriches the model.  Every
+    record goes to `report` (`_report`), whose "callback" after an
+    enrichment stops the chain; so do `_INNER_LIMIT_FACTOR` * (m + 1)
+    enrichments, a guard against a hang, on "inner_limit".
+    """
+    w_history, tried, give_ups = [model.step.w], set(), 0
+    for i in range(_INNER_LIMIT_FACTOR * (m + 1) + 1):
+        step = model.step
+        if step.v <= _EPS_TOL:
+            report(StepKind.CONVERGED, k, i, f_x, x, f_x, eps, model, g_evals)
+            return ChainEnd(StepKind.CONVERGED, "converged", x, f_x, g_evals, give_ups)
+        trial = x + step.direction
+        key = trial.tobytes()
+        cause = "revisit" if key in tried else None
+        if cause is None:
+            tried.add(key)
+            f_trial = oracle.f(trial)
+            f_gap = abs(f_trial - f_x)
+            if sufficient_decrease(f_x, f_trial, step.z, _BETA):
+                t = 1.0
+                if i == 0:
+                    # the initial model's step length was never tested
+                    # against f: stretch it while f keeps falling
+                    t, f_trial = extrapolate(oracle, x, step.direction, f_x, f_trial,
+                                             step.z, _BETA)
+                    if t > 1.0:
+                        trial = x + t * step.direction
+                stop = report(StepKind.SERIOUS_STEP, k, i, f_trial, x, f_x, eps, model, g_evals)
+                return ChainEnd(StepKind.SERIOUS_STEP, stop, trial, f_trial, g_evals, give_ups, t)
+            if model_stalled(w_history, m + 1, _GAMMA):
+                cause = "stall"
+        if cause is None:
+            trial, f_trial, gave_up = fdp_perturb(oracle, x, f_x, step.direction, trial,
+                                                  f_trial, _BETA, step.z, rng)
+            give_ups += gave_up
+            g_new = gradient(oracle, mode, trial, f_x=f_trial)
+            g_evals += 1
+            e_new = linearization_error(f_x, f_trial, g_new, x, trial, mode.strict)
+            if not improvement_criterion(e_new, model.agg[-1], f_gap, step.v, _GAMMA):
+                cause = "criterion"
+        if cause is not None:
+            stop = report(StepKind.NULL_STEP, k, i, f_x, x, f_x, eps, model, g_evals)
+            return ChainEnd(StepKind.NULL_STEP, stop, x, f_x, g_evals, give_ups, cause=cause)
+        prior, model = model, _enrich(model, g_new, e_new, eps, f"subproblem at k={k}, i={i}")
+        w_history.append(model.step.w)
+        if report(StepKind.INNER_ENRICH, k, i, f_x, x, f_x, eps, model, g_evals, prior):
+            return ChainEnd(StepKind.INNER_ENRICH, "callback", x, f_x, g_evals, give_ups)
+    return ChainEnd(StepKind.INNER_ENRICH, "inner_limit", x, f_x, g_evals, give_ups)
+
+
 def run(
     oracle: ObjectiveOracle,
     config: SolverConfig,
@@ -463,162 +596,37 @@ def run(
 ) -> RunResult:
     """Minimize the oracle's objective from x0.
 
-    Stops when the stationarity measure v falls to `_EPS_TOL`, the outer
-    budget runs out, the sampling radius drops below `_MIN_RADIUS`, or
-    `stop_callback` (called with every emitted trace record) returns True.
-    Every gradient the oracle computes is counted in the trace, and none is
-    computed twice at one point: a null step keeps x_k's gradient for the
-    next model's row 0.
-
-    An inner improvement loop ends on a serious step or on a null step.  The
-    null step has three causes, tested in this order: the trial point x_k + d
-    repeats one of the chain's earlier trial points (tested before any oracle
-    call); `model_stalled` finds that w fell by less than the factor gamma
-    over the last m + 1 enrichments (tested after f(x_k + d) rules out a
-    serious step, before the cut's gradient); the new linearization fails
-    `improvement_criterion`.  Each cut's point is moved by `fdp_perturb`
-    before its gradient is taken, and the cuts it gives up on are counted in
-    `fdp_give_ups`.  A serious step taken from the initial model (inner
-    index 0) is stretched by `extrapolate`.  A cap of
-    `_INNER_LIMIT_FACTOR` * (m + 1) enrichments per outer iteration only
-    guards against a hang.  It is reported by the stop reason "inner_limit"
-    alone, with no warning; the last record holds v, w and the radius.  A
-    callback that returns True on the converged record leaves "converged".
+    Each outer iteration runs `inner_chain` on a `start_model`: a serious
+    step moves x; a null step shrinks the radius by `_MU` and keeps x's
+    gradient for the next row 0.  The run stops where a chain stops it, when
+    the outer budget runs out or when the radius drops below `_MIN_RADIUS`.
+    `stop_callback` sees every trace record and leaves "converged" as it is.
     """
     mode = grad_mode or GradientMode.exact()
     x = np.array(x0 if x0 is not None else oracle.x0, dtype=float)
     if x.shape != (oracle.dimension,) or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite vector of the oracle's dimension")
-    n = oracle.dimension
-    m = config.resolve_m(n)
+    m = config.resolve_m(oracle.dimension)
     rng = np.random.default_rng(config.seed)
     eps = float(config.eps0)
-    g_evals = give_ups = 0
     trace: list[IterationTrace] = []
-    inner_cap = _INNER_LIMIT_FACTOR * (m + 1)
+    report = functools.partial(_report, trace, stop_callback, config.collect_diagnostics)
+    f_x, held = oracle.f(x), None  # held: x's gradient, kept by a null step
+    g_evals = give_ups = k = 0
     stop_reason: str | None = None
-
-    def emit(kind, f_val) -> None:
-        # reads k, i, x, f_x, agg, step, grad_xk and eps before any of them
-        # moves; a callback stop never overrides a recorded convergence
-        nonlocal stop_reason
-        diag = None
-        if config.collect_diagnostics:
-            diag = StepDiagnostics(
-                x_k=x.copy(), f_xk=f_x, g_tilde=agg[:-1].copy(),
-                e_tilde=agg[-1], d=step.direction.copy(), z=step.z,
-                eps_alpha=eps ** _ALPHA, grad_xk=grad_xk.copy(),
-            )
-            if kind is StepKind.INNER_ENRICH:
-                diag.new_atom_grad, diag.new_atom_err = g_new.copy(), e_new
-                diag.d_prev, diag.z_prev = prior.direction.copy(), prior.z
-                # per row: a matmul rounds this diagnostic differently
-                diag.model_z_max = max(float(r[:-1] @ step.direction) - r[-1] for r in model)
-        rec = IterationTrace(k=k, i=i, f_val=f_val, v=step.v, w=step.w, radius=eps,
-                             kind=kind, grad_evals_cum=g_evals, diag=diag)
-        trace.append(rec)
-        if stop_callback is not None and stop_callback(rec) and stop_reason is None:
-            stop_reason = "callback"
-
-    # g_x: the gradient at x that a null step hands to the next model's row 0
-    f_x, g_x = oracle.f(x), None
-    k = 0
     while stop_reason is None:
         if k >= config.max_outer:
             stop_reason = "budget"
-            break
-        if eps < _MIN_RADIUS:
+        elif eps < _MIN_RADIUS:
             stop_reason = "radius_floor"
-            break
-        # eps >= _MIN_RADIUS here, so eps^-alpha is at most 1e6
-        scale = eps ** -_ALPHA
-
-        # rows [g_j, e_j] of the model and their multipliers; row 0 is x_k's
-        rows, spent = build_initial_model(oracle, x, eps, m, rng, f_xk=f_x, mode=mode,
-                                          g_xk=g_x)
-        g_evals += spent
-        grad_xk, g_x = rows[0, :-1], None
-        sol = _solve_model(rows, scale, None, f"initial subproblem at k={k}")
-        lam = sol.lam
-        # the initial aggregate row is the QP's own lam @ G: the row-by-row
-        # sum of `aggregate` rounds differently and moves the gradient counts
-        agg = np.append(sol.g_tilde, max(sol.e_tilde, 0.0))
-        step = direction_from_dual(agg, eps, _ALPHA)
-        w_history = [step.w]
-        tried = set()  # the bytes of this chain's trial points x_k + d
-
-        # model_stalled ends chains long before the guard inner_cap does
-        for i in range(inner_cap + 1):
-            if step.v <= _EPS_TOL:
-                stop_reason = "converged"
-                emit(StepKind.CONVERGED, f_x)
-                break
-
-            # a null step ends the chain at a trial point it has tried
-            # already, at no oracle call; on a stalled model, at no gradient;
-            # else when the new cut fails the improvement criterion
-            trial = x + step.direction
-            key = trial.tobytes()
-            null = key in tried
-            if not null:
-                tried.add(key)
-                f_trial = oracle.f(trial)
-                f_gap = abs(f_trial - f_x)
-                if sufficient_decrease(f_x, f_trial, step.z, _BETA):
-                    if i == 0:
-                        # the initial model's step length was never tested
-                        # against f: stretch it while f keeps falling
-                        t, f_trial = extrapolate(oracle, x, step.direction, f_x,
-                                                 f_trial, step.z, _BETA)
-                        if t > 1.0:
-                            trial = x + t * step.direction
-                    # serious step: radius unchanged
-                    emit(StepKind.SERIOUS_STEP, f_trial)
-                    x, f_x = trial, f_trial
-                    break
-                null = model_stalled(w_history, m + 1, _GAMMA)
-            if not null:
-                # improvement process: new auxiliary point, moved by FDP,
-                # and its linearization
-                trial, f_trial, gave_up = fdp_perturb(oracle, x, f_x, step.direction, trial,
-                                                      f_trial, _BETA, step.z, rng)
-                give_ups += gave_up
-                g_new = gradient(oracle, mode, trial, f_x=f_trial)
-                g_evals += 1
-                e_new = linearization_error(f_x, f_trial, g_new, x, trial, mode.strict)
-                null = not improvement_criterion(e_new, agg[-1], f_gap, step.v, _GAMMA)
-            if null:
-                # shrink the sampling region, keep the iterate and its gradient
-                emit(StepKind.NULL_STEP, f_x)
-                eps, g_x = _MU * eps, grad_xk
-                break
-
-            # kept rows (row 0 first), the new cut, the prior aggregate; the
-            # warm start puts the weight the kept rows do not carry on the last
-            keep = select_indices(lam, _THETA, forced=(0,))
-            q = len(keep)
-            model = np.empty((q + 2, n + 1))
-            rows.take(keep, axis=0, out=model[:q])
-            model[q, :-1], model[q, -1] = g_new, e_new
-            model[q + 1] = agg
-            warm = np.zeros(q + 2)
-            lam.take(keep, out=warm[:q])
-            warm[-1] = max(0.0, 1.0 - warm.sum())
-            prior = step
-            sol = _solve_model(model, scale, warm, f"subproblem at k={k}, i={i}")
-            # an enrichment's aggregate is the row-by-row sum: the QP's own
-            # lam @ G rounds differently and moves the gradient counts
-            agg = aggregate(sol.lam, model)
-            step = direction_from_dual(agg, eps, _ALPHA)
-            w_history.append(step.w)
-            rows, lam = model[:-1], sol.lam[:-1]
-            emit(StepKind.INNER_ENRICH, f_x)
-            if stop_reason is not None:
-                break
         else:
-            stop_reason = "inner_limit"
-
-        k += 1
-
+            model, spent = start_model(oracle, mode, config, x, f_x, eps, held, rng, k)
+            end = inner_chain(oracle, mode, x, f_x, eps, m, model, rng, k, g_evals + spent,
+                              report)
+            x, f_x, g_evals, stop_reason = end.x, end.f_x, end.grad_evals, end.stop
+            give_ups += end.fdp_give_ups
+            held = model.rows[0, :-1] if end.kind is StepKind.NULL_STEP else None
+            eps = eps if held is None else _MU * eps
+            k += 1
     return RunResult(x=x, f=f_x, trace=trace, stop_reason=stop_reason,
                      outer_iters=k, grad_evals=g_evals, fdp_give_ups=give_ups)

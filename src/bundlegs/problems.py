@@ -225,6 +225,17 @@ def _apart(pieces) -> bool:
     return bool((s[-1] - s[-2] > 1e-10 * (1.0 + np.abs(s[-1]))).all())
 
 
+def _apart_scan(pieces) -> bool:
+    # `_apart` of a few Python floats by a scan for the two largest, without
+    # np.sort's cost; a NaN, which np.sort puts last, leaves no gap
+    top = second = -math.inf
+    for p in pieces:
+        if p != p:
+            return False
+        top, second = (p, top) if p > top else (top, max(second, p))
+    return top - second > 1e-10 * (1.0 + abs(top))
+
+
 def _tilted_norm(n: int) -> ObjectiveOracle:
     # f(x) = 4 ||x|| + 3 x_1;  sharp minimum 0 at the origin.
     w = 4.0
@@ -523,7 +534,7 @@ def _rosen(n: int) -> ObjectiveOracle:
         return np.array([o + 10.0 * d for o, d in zip(out, pen)])
 
     return ObjectiveOracle("Rosen", 4, -44.0, np.zeros(4), f, g,
-                           lambda x: _apart(pieces(*x.tolist())))
+                           lambda x: _apart_scan(pieces(*x.tolist())))
 
 
 # registry: canonical name -> (builder, fixed dimension or None, index, f* description)

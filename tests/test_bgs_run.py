@@ -1,5 +1,6 @@
 """Full solver runs: smoke convergence, trace invariants, determinism."""
 
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -641,3 +642,108 @@ def test_solvers_raise_no_warning(problem, mode):
         res = run(oracle, SolverConfig(seed=0, max_outer=40), start, grad_mode=mode)
         base = gs.gs_run(oracle, gs.GsConfig(seed=0, max_iters=40), start, grad_mode=mode)
     assert res.grad_evals > 0 and base.grad_evals > 0
+
+
+# ---------------------------------------------------------------------------
+# how each inner chain ends: `inner_chain`'s return value against the trace
+# records `run` emits for that outer iteration
+# ---------------------------------------------------------------------------
+
+
+def _record_chain_ends(monkeypatch):
+    """(start model, ChainEnd) of every chain `run` runs, in order."""
+    ends, real = [], bgs.inner_chain
+
+    def chain(*args, **kwargs):
+        model = inspect.signature(real).bind(*args, **kwargs).arguments["model"]
+        ends.append((model, real(*args, **kwargs)))
+        return ends[-1][1]
+
+    monkeypatch.setattr(bgs, "inner_chain", chain)
+    return ends
+
+
+def _chain_labels(res, ends, m):
+    """Check each chain's end against its records (diagnostics on) and return
+    its label: a null step's cause, "stretched", "serious" or the stop."""
+    assert len(ends) == res.outer_iters
+    labels = []
+    for k, (start, end) in enumerate(ends):
+        chain = [rec for rec in res.trace if rec.k == k]
+        last, d = chain[-1], chain[-1].diag
+        enriched = [rec for rec in chain if rec.kind is StepKind.INNER_ENRICH]
+        assert end.kind is last.kind
+        assert (end.f_x, end.grad_evals) == (last.f_val, last.grad_evals_cum)
+        # the last chain gives the run's stop, unless the run stops on its own
+        own = k < len(ends) - 1 or res.stop_reason in ("budget", "radius_floor")
+        assert end.stop == (None if own else res.stop_reason)
+        if end.kind is StepKind.SERIOUS_STEP:
+            np.testing.assert_array_equal(end.x, d.x_k + end.t * d.d)
+            assert end.t == 1.0 or (end.t > 1.0 and last.i == 0)
+            labels.append("stretched" if end.t > 1.0 else "serious")
+        else:
+            np.testing.assert_array_equal(end.x, d.x_k)
+            assert end.t == 1.0
+        if end.kind is StepKind.NULL_STEP:
+            # the chain's trial points are those of its enrichments
+            tried = {(d.x_k + rec.diag.d_prev).tobytes() for rec in enriched}
+            w_history = [start.step.w] + [rec.w for rec in enriched]
+            cause = ("revisit" if (d.x_k + d.d).tobytes() in tried else
+                     "stall" if bgs.model_stalled(w_history, m + 1, bgs._GAMMA) else
+                     "criterion")
+            assert end.cause == cause
+            if enriched:  # only the criterion spends the cut's gradient
+                assert last.grad_evals_cum - enriched[-1].grad_evals_cum == (cause == "criterion")
+            labels.append(cause)
+        else:
+            assert end.cause is None
+        if end.kind is StepKind.CONVERGED:
+            assert end.stop == "converged" and last.v <= bgs._EPS_TOL
+        if end.kind is StepKind.INNER_ENRICH:
+            assert end.stop in ("callback", "inner_limit")
+            assert (last.i == bgs._INNER_LIMIT_FACTOR * (m + 1)) == (end.stop == "inner_limit")
+        if end.stop is not None:
+            labels.append(end.stop)
+    np.testing.assert_array_equal(res.x, ends[-1][1].x)
+    return labels
+
+
+def test_chain_ends_name_each_null_step_cause(monkeypatch):
+    # the exact rosen_fd solve of seed 0 ends chains on all three causes and
+    # stretches serious steps; ChainedLQ ends every one on the criterion
+    ends = _record_chain_ends(monkeypatch)
+    res = run(make_problem("Rosen"), SolverConfig(seed=0, m=8, max_outer=300,
+                                                  collect_diagnostics=True),
+              _rosen_fd_start(0))
+    labels = _chain_labels(res, ends, 8)
+    assert {"revisit", "stall", "criterion", "stretched", "serious"} <= set(labels)
+    ends.clear()
+    labels = _chain_labels(traced_run(make_problem("ChainedLQ", 10), seed=2, m=6,
+                                      max_outer=30), ends, 6)
+    assert "criterion" in labels and not {"revisit", "stall"} & set(labels)
+
+
+def test_chain_end_converged(monkeypatch):
+    monkeypatch.setattr(bgs, "_EPS_TOL", 1e-12)
+    ends = _record_chain_ends(monkeypatch)
+    res = traced_run(quadratic_oracle(2), seed=1, m=4, max_outer=100)
+    assert _chain_labels(res, ends, 4)[-1] == "converged"
+
+
+def test_chain_end_inner_limit(monkeypatch):
+    monkeypatch.setattr(bgs, "_INNER_LIMIT_FACTOR", 0)
+    ends = _record_chain_ends(monkeypatch)
+    res = traced_run(make_problem("ChainedLQ", 10), seed=2, m=6, max_outer=30)
+    assert _chain_labels(res, ends, 6)[-1] == "inner_limit"
+    assert ends[-1][1].kind is StepKind.INNER_ENRICH
+
+
+@pytest.mark.parametrize("kind", [StepKind.SERIOUS_STEP, StepKind.NULL_STEP,
+                                  StepKind.INNER_ENRICH], ids=lambda kind: kind.value)
+def test_chain_end_callback(monkeypatch, kind):
+    ends = _record_chain_ends(monkeypatch)
+    res = run(make_problem("ChainedLQ", 8), SolverConfig(seed=3, m=4, max_outer=100,
+                                                        collect_diagnostics=True),
+              stop_callback=lambda rec: rec.kind is kind)
+    assert _chain_labels(res, ends, 4)[-1] == "callback"
+    assert ends[-1][1].kind is kind

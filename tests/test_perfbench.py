@@ -61,3 +61,19 @@ def test_traced_probe_sees_every_layer(perfbench_modules):
     self_sum = sum(probe.self_s.values())
     assert self_sum == pytest.approx(root[2] - root[1], rel=1e-9)
     assert abs(self_sum - wall) <= 1e-3
+
+
+def test_traced_probe_spans_the_bgs_layers(perfbench_modules):
+    # one traced round of a small bgs solve: the chain and the start model
+    # must look up extrapolate, aggregate and the QP on the bgs module at
+    # call time, or the probe's swaps miss them
+    _, probe_mod = perfbench_modules
+    probe = probe_mod.Probe(timing=True)
+    with probe.installed(lambda oracle: 5e-4):
+        with probe.span(probe_mod.ROOT):
+            harness.run_experiment(ExperimentSpec(
+                solver="bgs", problem="ChainedLQ", n=10, replications=1,
+                stop_rel_err=5e-4, solver_options={"m": 5}))
+    names = {span[0] for span in probe.spans}
+    assert {"bgs.extrapolate", "bgs.aggregate", "qp.solve", "qp.instance"} <= names
+    assert probe.count["bgs.extrapolate_calls"] > 0 and probe.count["qp.solves"] > 0

@@ -1,5 +1,6 @@
 """Benchmark oracle checks: optimal values, convexity, gradient consistency."""
 
+import itertools
 import math
 import re
 import warnings
@@ -16,6 +17,7 @@ from bundlegs.problems import (
     gradient,
     make_problem,
     _apart,
+    _apart_scan,
     sample_rows,
 )
 from helpers import reference_problem
@@ -762,3 +764,19 @@ def test_mxhilb_shared_product_byte_equal_over_call_sequences():
             for point in (a, b):
                 assert _same_value(new.eval_f(point), ref.eval_f(point))
                 assert _same_array(new.eval_grad(point), ref.eval_grad(point))
+
+
+def test_rosen_scan_answers_as_apart():
+    # Rosen's smooth_at scans its four Python floats for the two largest; it
+    # must answer as `_apart`'s sort on NaN, infinities, signed zeros, exact
+    # ties and ties within a rounding of the gap 1e-10 (1 + |largest|)
+    near = 1.0 - 2e-10
+    edge = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, near, math.nextafter(near, 2.0),
+            math.nextafter(near, 0.0), -44.0, 5e-11, -1e308]
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(20000, 1)) * 10.0 ** rng.integers(-3, 4, size=(20000, 1))
+    gaps = rng.choice([0.0, 5e-11, 1e-10, 2e-10, 1e-9, 1.0], size=(20000, 4))
+    drawn = (base * (1.0 - gaps * rng.uniform(0.5, 2.0, size=(20000, 4)))).tolist()
+    with np.errstate(all="ignore"):  # as in differentiable_at
+        for t in itertools.chain(itertools.product(edge, repeat=4), drawn):
+            assert _apart_scan(t) is _apart(t), t
