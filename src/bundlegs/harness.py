@@ -111,41 +111,32 @@ def default_tolerance(n: int) -> float:
 
 def _single_run(spec: ExperimentSpec, oracle: ObjectiveOracle, seed: int,
                 tol: float) -> tuple[RunReport, object]:
+    """One replication's report, and the solver's result (None for a start
+    already at the target or an aborted run)."""
     n = oracle.dimension
     start = perturb_start(oracle.x0, n, np.random.default_rng([seed, 1]))
     mode = GradientMode.forward(spec.fd_step) if spec.fd_step else GradientMode.exact()
+    result, iters, g_eval, elapsed, reason = None, 0, 0, 0.0, "rel_err"
+    e_final = relative_error(oracle.f(start), oracle.f_star)
+    if e_final > tol:
+        def stop(rec) -> bool:
+            return relative_error(rec.f_val, oracle.f_star) <= tol
 
-    e_start = relative_error(oracle.f(start), oracle.f_star)
-    if e_start <= tol:
-        report = RunReport(spec.solver, oracle.name, n, seed, 0, 0, 0.0, e_start,
-                           True, "rel_err")
-        return report, None
-
-    def stop(rec) -> bool:
-        return relative_error(rec.f_val, oracle.f_star) <= tol
-
-    t0 = time.perf_counter()
-    aborted = None
-    try:
-        if spec.solver == "bgs":
-            config = bgs.SolverConfig(seed=seed, **spec.solver_options)
-            result = bgs.run(oracle, config, start, grad_mode=mode, stop_callback=stop)
-        else:
-            config = gs.GsConfig(seed=seed, **spec.solver_options)
-            result = gs.gs_run(oracle, config, start, grad_mode=mode, stop_callback=stop)
-    except (bgs.QpFailureError, bgs.ConvexityError, EvaluationError) as exc:
-        aborted = str(exc)
-    elapsed = time.perf_counter() - t0 if spec.measure_time else 0.0
-
-    if aborted is not None:
-        report = RunReport(spec.solver, oracle.name, n, seed, 0, 0, elapsed,
-                           float("nan"), False, f"abort: {aborted}")
-        return report, None
-
-    e_final = relative_error(result.f, oracle.f_star)
-    reason = {"callback": "rel_err"}.get(result.stop_reason, result.stop_reason)
-    report = RunReport(spec.solver, oracle.name, n, seed, result.outer_iters,
-                       result.grad_evals, elapsed, e_final,
+        # looked up per call: a profiler may wrap the solvers
+        solve, config = ((bgs.run, bgs.SolverConfig) if spec.solver == "bgs"
+                         else (gs.gs_run, gs.GsConfig))
+        t0 = time.perf_counter()
+        try:
+            result = solve(oracle, config(seed=seed, **spec.solver_options), start,
+                           grad_mode=mode, stop_callback=stop)
+        except (bgs.QpFailureError, bgs.ConvexityError, EvaluationError) as exc:
+            e_final, reason = math.nan, f"abort: {exc}"
+        elapsed = time.perf_counter() - t0 if spec.measure_time else 0.0
+        if result is not None:
+            iters, g_eval = result.outer_iters, result.grad_evals
+            e_final = relative_error(result.f, oracle.f_star)
+            reason = {"callback": "rel_err"}.get(result.stop_reason, result.stop_reason)
+    report = RunReport(spec.solver, oracle.name, n, seed, iters, g_eval, elapsed, e_final,
                        e_final <= tol, reason)
     return report, result
 
@@ -177,11 +168,18 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunReport], dict]:
     return reports, aggregate
 
 
+def json_safe(row: dict) -> dict:
+    """`row` with each non-finite float as None, which JSON writes as null:
+    RFC 8259 has no NaN or Infinity."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in row.items()}
+
+
 def emit_report(reports: list[RunReport], path: str | Path, fmt: str = "csv") -> Path:
     """Persist per-run reports, one row of the `REPORT_FIELDS` each.
 
     CSV writes a float as its repr and JSON round-trips it, so both keep
-    every bit.
+    every bit; JSON writes a non-finite float as null.
     """
     if not reports:
         raise ValueError("no reports to persist")
@@ -194,7 +192,7 @@ def emit_report(reports: list[RunReport], path: str | Path, fmt: str = "csv") ->
                 writer.writerow(REPORT_FIELDS)
                 writer.writerows(rows)
         elif fmt == "json":
-            payload = [dict(zip(REPORT_FIELDS, row)) for row in rows]
+            payload = [json_safe(dict(zip(REPORT_FIELDS, row))) for row in rows]
             path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")

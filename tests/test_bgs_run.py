@@ -435,6 +435,19 @@ def test_overflowing_linearization_error_aborts_the_run(seed):
                                   "a linearization error overflows")
 
 
+def test_stalled_subproblem_aborts_the_run(monkeypatch):
+    solve = bgs.solve_simplex_qp
+    monkeypatch.setattr(bgs, "solve_simplex_qp", lambda inst, warm_start=None: replace(
+        solve(inst, warm_start=warm_start), converged=False))
+    with pytest.raises(QpFailureError, match=r"^initial subproblem at k=0 stalled \(residual "):
+        run(make_problem("ChainedLQ", 4), SolverConfig(seed=0, m=3))
+    spec = ExperimentSpec(solver="bgs", problem="ChainedLQ", n=4, replications=1,
+                          measure_time=False)
+    (report,), aggregate = harness.run_experiment(spec)
+    assert report.stop_reason.startswith("abort: initial subproblem at k=0 stalled")
+    assert aggregate["n_excluded"] == 1
+
+
 def test_bad_x0_rejected():
     oracle = quadratic_oracle(2)
     with pytest.raises(ValueError):

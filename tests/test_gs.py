@@ -97,6 +97,20 @@ def test_radius_shrinks_on_failure_or_stationarity():
     assert "shrink" in kinds and "step" in kinds
 
 
+def test_ascent_direction_shrinks_after_every_backtrack_fails():
+    # the gradient's sign is flipped, so -g~ points uphill and every Armijo
+    # backtrack fails: each iteration is a shrink that leaves x where it was
+    oracle = replace(quadratic_oracle(2), eval_grad=lambda x: -2.0 * x)
+    x0 = np.array([3.0, -4.0])
+    res = gs_run(oracle, GsConfig(seed=0, max_iters=5), x0=x0)
+    assert [rec.kind for rec in res.trace] == ["shrink"] * 5
+    assert all(rec.gnorm > 1.0 for rec in res.trace)
+    radii = [rec.radius for rec in res.trace]
+    assert radii[0] == 1.0 and all(b == a * 0.1 for a, b in zip(radii, radii[1:]))
+    np.testing.assert_array_equal(res.x, x0)
+    assert res.f == 25.0
+
+
 def test_callback_and_determinism():
     oracle = make_problem("ChainedLQ", 8)
     target = oracle.f_star + 1e-3 * (abs(oracle.f_star) + 1)

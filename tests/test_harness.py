@@ -3,7 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +234,13 @@ def test_emit_report_empty():
         emit_report([], "nowhere.csv")
 
 
+def test_emit_report_refuses_an_unknown_format(tmp_path):
+    report = RunReport("bgs", "QL", 2, 0, 10, 50, 0.0, 0.1, True)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_report([report], tmp_path / "r.xml", "xml")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trace_export(tmp_path):
     trace_path = tmp_path / "trace.csv"
     spec = ExperimentSpec(solver="bgs", problem="MAXQ", replications=1,
@@ -275,19 +285,36 @@ class TestCli:
         cat = json.loads(capsys.readouterr().out)
         assert len(cat) == 13
 
-    def test_every_flag_reaches_merged_options(self):
-        parser = cli.build_parser()
-        argv, want = [], set()
-        for action in parser._actions:
-            flag = action.option_strings[-1] if action.option_strings else None
-            if flag in (None, "--help", "--config", "--list-problems"):
+    def test_list_problems_as_a_module(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "bundlegs.cli", "--list-problems"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len(json.loads(proc.stdout)) == 13
+
+    def test_every_flag_reaches_merged_options(self, monkeypatch):
+        # each flag, set away from the spec's default, lands in the spec main builds
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda spec: specs.append(spec) or ([], {"n_excluded": 0}))
+        argv, want = [], {}
+        for action in cli.build_parser()._actions:
+            flag = action.option_strings[-1]
+            if flag in ("--help", "--config", "--list-problems"):
                 continue
-            value = action.choices[0] if action.choices else "3"
+            # gs takes no eps0, and csv is the default format
+            value = [c for c in action.choices or ["3"] if c not in ("gs", "csv")][0]
             argv += [flag, value]
-            want.add(action.dest)
-        merged = cli._merge(parser.parse_args(argv))
-        assert set(merged) == want
-        assert {"solver", "problem", "fd", "trace"} <= want
+            want[action.dest] = value
+        assert cli.main(argv) == 0
+        (spec,) = specs
+        got = {**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)},
+               **spec.solver_options}
+        assert {dest: got[dest] for dest in want} == {
+            dest: type(got[dest])(value) for dest, value in want.items()}
+        assert set(want) == ({f.name for f in dataclasses.fields(ExperimentSpec)}
+                             - {"solver_options", "measure_time"} | set(cli._SOLVER_KEYS))
 
     def test_readme_lists_every_flag(self):
         # the README's "Flags:" sentence names each option of the parser once
@@ -356,6 +383,53 @@ class TestCli:
         assert captured.out == "" and not (tmp_path / "o.csv").exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("bad", [["--solver", "bgs", "--n", "abc"], ["--solver", "xyz"],
+                                     ["--solver", "bgs", "--bogus", "1"], ["--sol", "bgs"]],
+                             ids=["non-integer-n", "unknown-solver", "unknown-flag",
+                                  "abbreviated-flag"])
+    def test_bad_flag_is_refused(self, bad, capsys):
+        # the parser's own refusals read as the spec's: one line, exit 2
+        assert cli.main(["--problem", "ChainedLQ", "--n", "4", "--reps", "1", *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_flags_override_config_entries(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda spec: specs.append(spec) or ([], {"n_excluded": 0}))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("solver=bgs\nproblem=ChainedLQ\nn=8\nseed=1\nm=4\n")
+        assert cli.main(["--config", str(cfg), "--seed", "2", "--m", "3"]) == 0
+        assert specs == [ExperimentSpec(solver="bgs", problem="ChainedLQ", n=8, seed_base=2,
+                                        solver_options={"m": 3})]
+
+    def test_config_file_naming_another_is_refused(self, tmp_path, capsys):
+        (tmp_path / "other.cfg").write_text("solver=bgs\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem=ChainedLQ\nn=4\nreps=1\nconfig={tmp_path / 'other.cfg'}\n")
+        assert cli.main(["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: a config file cannot name another\n"
+
+    def test_aborted_run_writes_json_null(self, tmp_path, capsys):
+        # RFC 8259 has no NaN: jq and JSON.parse refuse it
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "r.json"
+        code = cli.main(["--solver", "bgs", "--problem", "ChainedLQ", "--n", "4",
+                         "--reps", "1", "--fd", "1e-300", "--out", str(out),
+                         "--format", "json"])
+        assert code == 1
+        (row,) = json.loads(out.read_text(), parse_constant=refuse)
+        assert row["E_final"] is None and row["converged"] is False
+        line = capsys.readouterr().out.splitlines()[-1]
+        aggregate = json.loads(line.removeprefix("aggregate: "), parse_constant=refuse)
+        assert aggregate["E_final"] is None and aggregate["n_excluded"] == 1
 
     # a value away from the default for each bgs option the CLI forwards
     BGS_OPTION_VALUES = {"m": "3", "eps0": "0.3"}

@@ -335,6 +335,16 @@ def test_projected_gradient_polish(monkeypatch):
     assert_kkt_certificate(inst, sol)
 
 
+def test_projected_gradient_stops_at_its_iteration_limit():
+    # a zero gap is never met on this interior minimizer, so FISTA runs out
+    inst = _three_corners()
+    H = inst.atoms @ inst.atoms.T
+    lam, iters = qp._projected_gradient(H, inst.penalty_scale * inst.errors,
+                                        np.array([1.0, 0.0, 0.0]), 0.0, max_iter=100)
+    assert iters == 100
+    np.testing.assert_allclose(lam, solve_simplex_qp(inst).lam, rtol=0.0, atol=1e-9)
+
+
 def assert_pivots_recover(kernel, monkeypatch, patched_solve):
     # Both kernels pivot through the same solve and fall back to least
     # squares; the bundle kernel must still match the reference bit for bit,
