@@ -77,18 +77,16 @@ class SolverConfig:
     """The parameters of the solver that a caller sets.
 
     eps0 is the initial sampling radius.  When `m` is None it resolves to 2n
-    for n <= 20 and ceil(n/10) otherwise.  `collect_diagnostics` turns on
-    the per-record audits.  The step parameters `_MU`, `_ALPHA`, `_BETA`,
-    `_GAMMA`, `_THETA` and the tolerances `_EPS_TOL`, `_MIN_RADIUS` and
-    `_FDP_SIGMA` are fixed.  FDP is no option: an oracle without
-    `smooth_at` is never moved by it.
+    for n <= 20 and ceil(n/10) otherwise.  The step parameters `_MU`,
+    `_ALPHA`, `_BETA`, `_GAMMA`, `_THETA` and the tolerances `_EPS_TOL`,
+    `_MIN_RADIUS` and `_FDP_SIGMA` are fixed.  FDP is no option: an oracle
+    without `smooth_at` is never moved by it.
     """
 
     eps0: float = 1.0
     m: Optional[int] = None
     seed: int = 0
     max_outer: int = 1000
-    collect_diagnostics: bool = False
 
     def __post_init__(self) -> None:
         require_integers(m=self.m, seed=self.seed, max_outer=self.max_outer)
@@ -124,25 +122,6 @@ class StepOutcome:
 
 
 @dataclass
-class StepDiagnostics:
-    """Optional per-record payload for auditing the dual identities."""
-
-    x_k: np.ndarray
-    f_xk: float
-    g_tilde: np.ndarray
-    e_tilde: float
-    d: np.ndarray
-    z: float
-    eps_alpha: float
-    grad_xk: np.ndarray
-    new_atom_grad: Optional[np.ndarray] = None
-    new_atom_err: Optional[float] = None
-    d_prev: Optional[np.ndarray] = None
-    z_prev: Optional[float] = None
-    model_z_max: Optional[float] = None
-
-
-@dataclass
 class IterationTrace:
     """Per-step record: outer index k, inner index i, f value, v, w, radius, kind."""
 
@@ -154,7 +133,6 @@ class IterationTrace:
     radius: float
     kind: StepKind
     grad_evals_cum: int
-    diag: Optional[StepDiagnostics] = None
 
 
 @dataclass
@@ -502,25 +480,12 @@ def _enrich(model: Model, g_new: np.ndarray, e_new: float, eps: float, where: st
     return Model(rows[:-1], sol.lam[:-1], agg, direction_from_dual(agg, eps, _ALPHA))
 
 
-def _report(trace: list, stop_callback, diagnostics: bool, kind: StepKind, k: int, i: int,
-            f_val: float, x: np.ndarray, f_x: float, eps: float, model: Model,
-            g_evals: int, prior: Model | None = None) -> Optional[str]:
-    """Append the record of `model` at (k, i) to `trace`; "callback" if the
-    callback asks to stop.  An enrichment's diagnostics also read `prior`."""
-    step, diag = model.step, None
-    if diagnostics:
-        diag = StepDiagnostics(
-            x_k=x.copy(), f_xk=f_x, g_tilde=model.agg[:-1].copy(), e_tilde=model.agg[-1],
-            d=step.direction.copy(), z=step.z, eps_alpha=eps ** _ALPHA,
-            grad_xk=model.rows[0, :-1].copy())
-        if prior is not None:
-            diag.new_atom_grad, diag.new_atom_err = model.rows[-1, :-1].copy(), model.rows[-1, -1]
-            diag.d_prev, diag.z_prev = prior.step.direction.copy(), prior.step.z
-            # per row: a matmul rounds this diagnostic differently
-            diag.model_z_max = max(float(r[:-1] @ step.direction) - r[-1]
-                                   for r in (*model.rows, prior.agg))
+def _report(trace: list, stop_callback, kind: StepKind, k: int, i: int, f_val: float,
+            eps: float, step: StepOutcome, g_evals: int) -> Optional[str]:
+    """Append the record of `step` at (k, i) to `trace`; "callback" if the
+    callback asks to stop."""
     trace.append(IterationTrace(k=k, i=i, f_val=f_val, v=step.v, w=step.w, radius=eps,
-                                kind=kind, grad_evals_cum=g_evals, diag=diag))
+                                kind=kind, grad_evals_cum=g_evals))
     return "callback" if stop_callback is not None and stop_callback(trace[-1]) else None
 
 
@@ -546,7 +511,7 @@ def inner_chain(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray, f_x:
     for i in range(_INNER_LIMIT_FACTOR * (m + 1) + 1):
         step = model.step
         if step.v <= _EPS_TOL:
-            report(StepKind.CONVERGED, k, i, f_x, x, f_x, eps, model, g_evals)
+            report(StepKind.CONVERGED, k, i, f_x, eps, step, g_evals)
             return ChainEnd(StepKind.CONVERGED, "converged", x, f_x, g_evals, give_ups)
         trial = x + step.direction
         key = trial.tobytes()
@@ -564,7 +529,7 @@ def inner_chain(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray, f_x:
                                              step.z, _BETA)
                     if t > 1.0:
                         trial = x + t * step.direction
-                stop = report(StepKind.SERIOUS_STEP, k, i, f_trial, x, f_x, eps, model, g_evals)
+                stop = report(StepKind.SERIOUS_STEP, k, i, f_trial, eps, step, g_evals)
                 return ChainEnd(StepKind.SERIOUS_STEP, stop, trial, f_trial, g_evals, give_ups, t)
             if model_stalled(w_history, m + 1, _GAMMA):
                 cause = "stall"
@@ -578,11 +543,11 @@ def inner_chain(oracle: ObjectiveOracle, mode: GradientMode, x: np.ndarray, f_x:
             if not improvement_criterion(e_new, model.agg[-1], f_gap, step.v, _GAMMA):
                 cause = "criterion"
         if cause is not None:
-            stop = report(StepKind.NULL_STEP, k, i, f_x, x, f_x, eps, model, g_evals)
+            stop = report(StepKind.NULL_STEP, k, i, f_x, eps, step, g_evals)
             return ChainEnd(StepKind.NULL_STEP, stop, x, f_x, g_evals, give_ups, cause=cause)
-        prior, model = model, _enrich(model, g_new, e_new, eps, f"subproblem at k={k}, i={i}")
+        model = _enrich(model, g_new, e_new, eps, f"subproblem at k={k}, i={i}")
         w_history.append(model.step.w)
-        if report(StepKind.INNER_ENRICH, k, i, f_x, x, f_x, eps, model, g_evals, prior):
+        if report(StepKind.INNER_ENRICH, k, i, f_x, eps, model.step, g_evals):
             return ChainEnd(StepKind.INNER_ENRICH, "callback", x, f_x, g_evals, give_ups)
     return ChainEnd(StepKind.INNER_ENRICH, "inner_limit", x, f_x, g_evals, give_ups)
 
@@ -610,7 +575,7 @@ def run(
     rng = np.random.default_rng(config.seed)
     eps = float(config.eps0)
     trace: list[IterationTrace] = []
-    report = functools.partial(_report, trace, stop_callback, config.collect_diagnostics)
+    report = functools.partial(_report, trace, stop_callback)
     f_x, held = oracle.f(x), None  # held: x's gradient, kept by a null step
     g_evals = give_ups = k = 0
     stop_reason: str | None = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -22,10 +23,6 @@ from . import bgs, gs
 from .problems import (EvaluationError, GradientMode, ObjectiveOracle, make_problem,
                        require_integers)
 from .sampling import sample_ball
-
-REPORT_FIELDS = ["solver", "problem", "n", "seed", "iters", "g_eval",
-                 "time_s", "E_final", "converged"]
-
 
 @dataclass
 class ExperimentSpec:
@@ -90,6 +87,9 @@ class RunReport:
     E_final: float
     converged: bool
     stop_reason: str = "unknown"  # internal; not persisted
+
+
+REPORT_FIELDS = [f.name for f in fields(RunReport) if f.name != "stop_reason"]
 
 
 def relative_error(f_val: float, f_star: float) -> float:
@@ -218,10 +218,14 @@ def export_trace(result, oracle: ObjectiveOracle, path: str | Path) -> Path:
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Parse a plain-text key=value config file; '#' starts a comment."""
+    """Parse a plain-text key=value config file.
+
+    A '#' at the start of a line or after whitespace starts a comment, so
+    `m=4  # note` sets m to 4 and `out=run#1.csv` keeps its '#'.
+    """
     out: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -37,7 +37,7 @@ projected-gradient polish for an active set that round-off stalls
   differently.  Only the hull point is unique, and it is all the
   gradient-sampling baseline uses.
 
-The bundle solver builds about 9.4k instances of 3-8 atoms per battery
+The bundle solver builds 7,730 instances of 3-8 atoms in one battery
 round, so per-call overhead, not arithmetic, is most of their cost.
 `SimplexQpInstance` takes a float64 array of the right rank as it is and
 converts anything else, to the same stored bytes.  The finite checks

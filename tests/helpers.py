@@ -1,15 +1,20 @@
-"""Shared test utilities: independent brute-force oracles and tiny fixtures."""
+"""Shared test utilities: independent brute-force oracles, tiny fixtures and
+the audit of a bundle run's models."""
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
+import pytest
 
-from bundlegs.bgs import ConvexityError
+from bundlegs import bgs
+from bundlegs.bgs import ConvexityError, StepKind
 from bundlegs.problems import (EvaluationError, GradientMode, ObjectiveOracle, gradient,
                                make_problem)
 from bundlegs.qp import SimplexQpInstance, SimplexQpSolution
@@ -133,6 +138,80 @@ def steep_oracle() -> ObjectiveOracle:
 
 def relative_err(f_val: float, f_star: float) -> float:
     return (f_val - f_star) / (abs(f_star) + 1.0)
+
+
+@dataclass
+class StepAudit:
+    """The terms of the dual identities behind one trace record of `bgs.run`.
+
+    All but `kind` are read off the model the record was emitted from: x_k,
+    f(x_k), the aggregate [g_tilde | e_tilde], the direction d and z,
+    eps^alpha and row 0's gradient.  An enrichment's record also carries the
+    new cut (the model's last row), the prior model's d and z, and
+    `model_z_max`, the max of <g_j, d> - e_j over the model's rows and the
+    prior aggregate.
+    """
+
+    kind: StepKind
+    x_k: np.ndarray
+    f_xk: float
+    g_tilde: np.ndarray
+    e_tilde: float
+    d: np.ndarray
+    z: float
+    eps_alpha: float
+    grad_xk: np.ndarray
+    new_atom_grad: Optional[np.ndarray] = None
+    new_atom_err: Optional[float] = None
+    d_prev: Optional[np.ndarray] = None
+    z_prev: Optional[float] = None
+    model_z_max: Optional[float] = None
+
+
+def audited_run(oracle: ObjectiveOracle, config: bgs.SolverConfig,
+                x0: np.ndarray | None = None, grad_mode: GradientMode | None = None,
+                stop_callback=None) -> tuple[bgs.RunResult, list[StepAudit]]:
+    """`bgs.run`, and one `StepAudit` per trace record in the trace's order.
+
+    For the run, `bgs.start_model` and `bgs._enrich`, which `run` and
+    `inner_chain` look up at call time, are wrapped to note the current
+    chain's x_k, f(x_k) and radius and its latest and prior model.  A stop
+    callback chained in front of `stop_callback` audits each record as it
+    is emitted, so a record is audited against the model it came from.
+    """
+    state, audits = {}, []
+    real_start, real_enrich = bgs.start_model, bgs._enrich
+
+    def start_model(*args, **kwargs):
+        chain = inspect.signature(real_start).bind(*args, **kwargs).arguments
+        model, spent = real_start(*args, **kwargs)
+        state.update(x=chain["x"], f_x=chain["f_x"], eps=chain["eps"], model=model)
+        return model, spent
+
+    def enrich(model, *args, **kwargs):
+        state["prior"], state["model"] = model, real_enrich(model, *args, **kwargs)
+        return state["model"]
+
+    def audit(rec):
+        model, step = state["model"], state["model"].step
+        audits.append(StepAudit(
+            kind=rec.kind, x_k=state["x"].copy(), f_xk=state["f_x"],
+            g_tilde=model.agg[:-1].copy(), e_tilde=model.agg[-1], d=step.direction.copy(),
+            z=step.z, eps_alpha=state["eps"] ** bgs._ALPHA, grad_xk=model.rows[0, :-1].copy()))
+        if rec.kind is StepKind.INNER_ENRICH:
+            a, prior = audits[-1], state["prior"]
+            a.new_atom_grad, a.new_atom_err = model.rows[-1, :-1].copy(), model.rows[-1, -1]
+            a.d_prev, a.z_prev = prior.step.direction.copy(), prior.step.z
+            # per row: a matmul rounds this maximum differently
+            a.model_z_max = max(float(r[:-1] @ step.direction) - r[-1]
+                                for r in (*model.rows, prior.agg))
+        return stop_callback is not None and stop_callback(rec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bgs, "start_model", start_model)
+        patch.setattr(bgs, "_enrich", enrich)
+        result = bgs.run(oracle, config, x0, grad_mode, stop_callback=audit)
+    return result, audits
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import grid_min_objective, relative_err
+from helpers import audited_run, grid_min_objective, relative_err
 
 from bundlegs.bgs import SolverConfig, StepKind, run
 from bundlegs.gs import GsConfig, gs_run
@@ -34,15 +34,15 @@ def _stopper(oracle, tol):
 
 @pytest.fixture(scope="module")
 def diagnostic_runs():
-    """Full solver runs with per-step diagnostics on problems 3, 6, 9."""
+    """Full solver runs on problems 3, 6, 9, each with its records' audits."""
     runs = {}
     for name, n, m in (("ChainedLQ", 50, 5), ("MAXQ-gen", 50, 5), ("QL", 2, 4)):
         oracle = make_problem(name, n)
         start = perturb_start(oracle.x0, n, np.random.default_rng([0, 1]))
-        cfg = SolverConfig(seed=0, m=m, max_outer=1000, collect_diagnostics=True)
-        res = run(oracle, cfg, start, stop_callback=_stopper(oracle, 5e-4))
+        cfg = SolverConfig(seed=0, m=m, max_outer=1000)
+        res, audits = audited_run(oracle, cfg, start, stop_callback=_stopper(oracle, 5e-4))
         assert res.trace, name
-        runs[name] = (oracle, res)
+        runs[name] = (oracle, res, audits)
     return runs
 
 
@@ -87,9 +87,8 @@ def test_criterion_01_qp_grid_equivalence():
 def test_criterion_02_duality_identities(diagnostic_runs):
     worst_d = worst_z = worst_w = -np.inf
     steps = 0
-    for name, (oracle, res) in diagnostic_runs.items():
-        for rec in res.trace:
-            d = rec.diag
+    for name, (oracle, res, audits) in diagnostic_runs.items():
+        for rec, d in zip(res.trace, audits, strict=True):
             s = d.eps_alpha
             steps += 1
             worst_d = max(worst_d, float(np.linalg.norm(d.d + s * d.g_tilde)))
@@ -106,9 +105,8 @@ def test_criterion_03_aggregate_subgradient_certificate(diagnostic_runs):
     rng = np.random.default_rng(99)
     violations = 0
     probes = 0
-    for name, (oracle, res) in diagnostic_runs.items():
-        for rec in res.trace:
-            d = rec.diag
+    for name, (oracle, res, audits) in diagnostic_runs.items():
+        for rec, d in zip(res.trace, audits, strict=True):
             slack = 1e-8 * (1.0 + abs(d.f_xk))
             for _ in range(20):
                 y = d.x_k + rng.uniform(-2.0, 2.0, oracle.dimension)
@@ -126,7 +124,7 @@ def test_criterion_03_aggregate_subgradient_certificate(diagnostic_runs):
 def test_criterion_04_inner_w_monotonicity(diagnostic_runs):
     worst = -np.inf
     chains = 0
-    for name, (oracle, res) in diagnostic_runs.items():
+    for name, (oracle, res, audits) in diagnostic_runs.items():
         per_k = {}
         for rec in res.trace:
             if rec.kind == StepKind.INNER_ENRICH:

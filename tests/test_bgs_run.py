@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import huge_gradient_oracle, quadratic_oracle, steep_oracle
+from helpers import audited_run, huge_gradient_oracle, quadratic_oracle, steep_oracle
 
 from bundlegs import bgs, gs, harness
 from bundlegs.bgs import QpFailureError, SolverConfig, StepKind, run
@@ -17,12 +17,11 @@ from bundlegs.qp import SimplexQpInstance
 
 def traced_run(oracle, seed=0, m=None, eps0=1.0, max_outer=200, stop_abs=None,
                x0=None):
-    cfg = SolverConfig(seed=seed, m=m, eps0=eps0, max_outer=max_outer,
-                       collect_diagnostics=True)
+    cfg = SolverConfig(seed=seed, m=m, eps0=eps0, max_outer=max_outer)
     cb = None
     if stop_abs is not None:
         cb = lambda rec: rec.f_val - oracle.f_star <= stop_abs  # noqa: E731
-    return run(oracle, cfg, x0, stop_callback=cb)
+    return audited_run(oracle, cfg, x0, stop_callback=cb)
 
 
 def test_smooth_quadratic_smoke():
@@ -46,7 +45,7 @@ def test_grad_eval_accounting(monkeypatch):
     monkeypatch.setattr(bgs, "improvement_criterion", criterion)
     for name, n, seed, m, max_outer in (("ChainedLQ", 10, 2, 6, 30), ("Rosen", None, 0, 8, 300)):
         refused.clear()
-        res = traced_run(make_problem(name, n), seed=seed, m=m, max_outer=max_outer)
+        res, _ = traced_run(make_problem(name, n), seed=seed, m=m, max_outer=max_outer)
         outers = res.trace[-1].k + 1
         ends = {r.k: r.kind for r in res.trace}  # the record that ends each outer iteration
         fresh = 1 + sum(ends[k] is StepKind.SERIOUS_STEP for k in range(outers - 1))
@@ -88,14 +87,14 @@ def test_a_revisited_trial_point_ends_the_chain_at_no_oracle_call():
     # that set d with no objective or gradient call in between
     oracle, f_points, g_points = _recording(make_problem("Rosen"))
     calls = []  # (objective calls, gradient calls) when each record is emitted
-    res = run(oracle, SolverConfig(seed=0, m=8, max_outer=300, collect_diagnostics=True),
-              _rosen_fd_start(0),
-              stop_callback=lambda rec: calls.append((len(f_points), len(g_points))))
+    res, audits = audited_run(
+        oracle, SolverConfig(seed=0, m=8, max_outer=300), _rosen_fd_start(0),
+        stop_callback=lambda rec: calls.append((len(f_points), len(g_points))))
     revisits, chain_start = 0, 0  # f_points index where the current chain began
     for j, rec in enumerate(res.trace):
         # a trial point evaluated before the record that set d is a revisit
         if rec.kind is StepKind.NULL_STEP and rec.i > 0:
-            trial = (rec.diag.x_k + rec.diag.d).tobytes()
+            trial = (audits[j].x_k + audits[j].d).tobytes()
             if trial in f_points[chain_start:calls[j - 1][0]]:
                 revisits += 1
                 assert calls[j] == calls[j - 1]
@@ -168,13 +167,12 @@ def test_differentiability_checks_evaluate_no_point_twice():
 def test_trace_invariants_across_problems():
     for name, n, m in (("ChainedLQ", 10, 20), ("MAXQ-gen", 10, 5), ("Mifflin1", 2, 4)):
         oracle = make_problem(name, n) if name != "Mifflin1" else make_problem(name)
-        res = traced_run(oracle, seed=3, m=m, max_outer=60,
-                         stop_abs=1e-9 * (1 + abs(oracle.f_star)))
+        res, audits = traced_run(oracle, seed=3, m=m, max_outer=60,
+                                 stop_abs=1e-9 * (1 + abs(oracle.f_star)))
         assert len(res.trace) > 0
         radius_prev = np.inf
         f_serious_prev = np.inf
-        for rec in res.trace:
-            d = rec.diag
+        for rec, d in zip(res.trace, audits, strict=True):
             s = d.eps_alpha
             # dual-primal identities
             assert np.linalg.norm(d.d + s * d.g_tilde) <= 1e-10
@@ -195,7 +193,7 @@ def test_trace_invariants_across_problems():
 
 def test_radius_shrinks_exactly_on_null_steps():
     oracle = make_problem("MAXQ")
-    res = traced_run(oracle, seed=0, m=40, eps0=4.0, max_outer=100, stop_abs=1e-6)
+    res, _ = traced_run(oracle, seed=0, m=40, eps0=4.0, max_outer=100, stop_abs=1e-6)
     by_k = {}
     for rec in res.trace:
         by_k.setdefault(rec.k, []).append(rec)
@@ -211,10 +209,9 @@ def test_radius_shrinks_exactly_on_null_steps():
 
 def test_aggregate_subgradient_certificate():
     oracle = make_problem("ChainedLQ", 6)
-    res = traced_run(oracle, seed=5, m=12, max_outer=40, stop_abs=1e-7)
+    res, audits = traced_run(oracle, seed=5, m=12, max_outer=40, stop_abs=1e-7)
     rng = np.random.default_rng(77)
-    for rec in res.trace:
-        d = rec.diag
+    for rec, d in zip(res.trace, audits, strict=True):
         slack = 1e-8 * (1.0 + abs(d.f_xk))
         for _ in range(5):
             y = d.x_k + rng.uniform(-2.0, 2.0, oracle.dimension)
@@ -225,7 +222,7 @@ def test_aggregate_subgradient_certificate():
 
 def test_inner_w_monotone_and_nonredundant_cuts():
     oracle = make_problem("ChainedCB3I", 10)
-    res = traced_run(oracle, seed=6, m=5, max_outer=40, stop_abs=5e-4 * 19.0)
+    res, audits = traced_run(oracle, seed=6, m=5, max_outer=40, stop_abs=5e-4 * 19.0)
     by_k = {}
     for rec in res.trace:
         if rec.kind == StepKind.INNER_ENRICH:
@@ -235,8 +232,7 @@ def test_inner_w_monotone_and_nonredundant_cuts():
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
             assert b.w <= a.w + 1e-10
-    for rec in res.trace:
-        d = rec.diag
+    for rec, d in zip(res.trace, audits, strict=True):
         if rec.kind == StepKind.INNER_ENRICH and d.d_prev is not None:
             lhs = float(d.new_atom_grad @ d.d_prev) - d.new_atom_err
             assert lhs > d.z_prev - 1e-8
@@ -676,15 +672,16 @@ def _record_chain_ends(monkeypatch):
     return ends
 
 
-def _chain_labels(res, ends, m):
-    """Check each chain's end against its records (diagnostics on) and return
+def _chain_labels(res, audits, ends, m):
+    """Check each chain's end against its records and their audits and return
     its label: a null step's cause, "stretched", "serious" or the stop."""
     assert len(ends) == res.outer_iters
     labels = []
     for k, (start, end) in enumerate(ends):
-        chain = [rec for rec in res.trace if rec.k == k]
-        last, d = chain[-1], chain[-1].diag
-        enriched = [rec for rec in chain if rec.kind is StepKind.INNER_ENRICH]
+        chain = [(rec, a) for rec, a in zip(res.trace, audits, strict=True) if rec.k == k]
+        last, d = chain[-1]
+        enriched = [rec for rec, _ in chain if rec.kind is StepKind.INNER_ENRICH]
+        enriched_audits = [a for rec, a in chain if rec.kind is StepKind.INNER_ENRICH]
         assert end.kind is last.kind
         assert (end.f_x, end.grad_evals) == (last.f_val, last.grad_evals_cum)
         # the last chain gives the run's stop, unless the run stops on its own
@@ -699,7 +696,7 @@ def _chain_labels(res, ends, m):
             assert end.t == 1.0
         if end.kind is StepKind.NULL_STEP:
             # the chain's trial points are those of its enrichments
-            tried = {(d.x_k + rec.diag.d_prev).tobytes() for rec in enriched}
+            tried = {(d.x_k + a.d_prev).tobytes() for a in enriched_audits}
             w_history = [start.step.w] + [rec.w for rec in enriched]
             cause = ("revisit" if (d.x_k + d.d).tobytes() in tried else
                      "stall" if bgs.model_stalled(w_history, m + 1, bgs._GAMMA) else
@@ -725,29 +722,28 @@ def test_chain_ends_name_each_null_step_cause(monkeypatch):
     # the exact rosen_fd solve of seed 0 ends chains on all three causes and
     # stretches serious steps; ChainedLQ ends every one on the criterion
     ends = _record_chain_ends(monkeypatch)
-    res = run(make_problem("Rosen"), SolverConfig(seed=0, m=8, max_outer=300,
-                                                  collect_diagnostics=True),
-              _rosen_fd_start(0))
-    labels = _chain_labels(res, ends, 8)
+    res, audits = audited_run(make_problem("Rosen"), SolverConfig(seed=0, m=8, max_outer=300),
+                              _rosen_fd_start(0))
+    labels = _chain_labels(res, audits, ends, 8)
     assert {"revisit", "stall", "criterion", "stretched", "serious"} <= set(labels)
     ends.clear()
-    labels = _chain_labels(traced_run(make_problem("ChainedLQ", 10), seed=2, m=6,
-                                      max_outer=30), ends, 6)
+    labels = _chain_labels(*traced_run(make_problem("ChainedLQ", 10), seed=2, m=6,
+                                       max_outer=30), ends, 6)
     assert "criterion" in labels and not {"revisit", "stall"} & set(labels)
 
 
 def test_chain_end_converged(monkeypatch):
     monkeypatch.setattr(bgs, "_EPS_TOL", 1e-12)
     ends = _record_chain_ends(monkeypatch)
-    res = traced_run(quadratic_oracle(2), seed=1, m=4, max_outer=100)
-    assert _chain_labels(res, ends, 4)[-1] == "converged"
+    res, audits = traced_run(quadratic_oracle(2), seed=1, m=4, max_outer=100)
+    assert _chain_labels(res, audits, ends, 4)[-1] == "converged"
 
 
 def test_chain_end_inner_limit(monkeypatch):
     monkeypatch.setattr(bgs, "_INNER_LIMIT_FACTOR", 0)
     ends = _record_chain_ends(monkeypatch)
-    res = traced_run(make_problem("ChainedLQ", 10), seed=2, m=6, max_outer=30)
-    assert _chain_labels(res, ends, 6)[-1] == "inner_limit"
+    res, audits = traced_run(make_problem("ChainedLQ", 10), seed=2, m=6, max_outer=30)
+    assert _chain_labels(res, audits, ends, 6)[-1] == "inner_limit"
     assert ends[-1][1].kind is StepKind.INNER_ENRICH
 
 
@@ -755,8 +751,36 @@ def test_chain_end_inner_limit(monkeypatch):
                                   StepKind.INNER_ENRICH], ids=lambda kind: kind.value)
 def test_chain_end_callback(monkeypatch, kind):
     ends = _record_chain_ends(monkeypatch)
-    res = run(make_problem("ChainedLQ", 8), SolverConfig(seed=3, m=4, max_outer=100,
-                                                        collect_diagnostics=True),
-              stop_callback=lambda rec: rec.kind is kind)
-    assert _chain_labels(res, ends, 4)[-1] == "callback"
+    res, audits = audited_run(make_problem("ChainedLQ", 8),
+                              SolverConfig(seed=3, m=4, max_outer=100),
+                              stop_callback=lambda rec: rec.kind is kind)
+    assert _chain_labels(res, audits, ends, 4)[-1] == "callback"
     assert ends[-1][1].kind is kind
+
+
+def test_audits_align_with_the_records(monkeypatch):
+    # the exact rosen_fd solve of seed 0 ends chains on all three null-step
+    # causes; each enrichment's prior model is the one behind the chain's
+    # previous record, or the chain's start model for its first enrichment,
+    # and a chain's last record that is no enrichment shows that model itself
+    ends = _record_chain_ends(monkeypatch)
+    res, audits = audited_run(make_problem("Rosen"), SolverConfig(seed=0, m=8, max_outer=300),
+                              _rosen_fd_start(0))
+    assert len(audits) == len(res.trace)
+    assert [a.kind for a in audits] == [rec.kind for rec in res.trace]
+    assert {"revisit", "stall", "criterion"} <= {end.cause for _, end in ends}
+    enrichments, prev = 0, None  # prev: the step behind the chain's previous record
+    for rec, a in zip(res.trace, audits):
+        if prev is None or prev[0] != rec.k:
+            prev = (rec.k, ends[rec.k][0].step.direction, ends[rec.k][0].step.z)
+        enriched = rec.kind is StepKind.INNER_ENRICH
+        assert (a.d_prev is not None) == (a.z_prev is not None) == enriched
+        if enriched:
+            enrichments += 1
+            np.testing.assert_array_equal(a.d_prev, prev[1])
+            assert a.z_prev == prev[2]
+        else:
+            np.testing.assert_array_equal(a.d, prev[1])
+            assert a.z == prev[2]
+        prev = (rec.k, a.d, a.z)
+    assert enrichments > 0

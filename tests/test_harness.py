@@ -263,6 +263,10 @@ def test_config_file(tmp_path):
     parsed = load_config_file(cfg)
     assert parsed == {"solver": "bgs", "problem": "ChainedLQ", "n": "8",
                       "reps": "1", "m": "4"}
+    # a '#' starts a comment at the start of a line or after whitespace only
+    notes = tmp_path / "notes.cfg"
+    notes.write_text("  # note\nm=4  # note\nn=8\t#x\nout=run#1.csv\n")
+    assert load_config_file(notes) == {"m": "4", "n": "8", "out": "run#1.csv"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("solver bgs\n")
     with pytest.raises(ValueError):
